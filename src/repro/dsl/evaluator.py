@@ -11,9 +11,11 @@ producing values and the spreadsheet side effects of paper §2/§4:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from ..errors import EvaluationError
 from ..sheet.address import CellAddress
+from ..sheet.cell import Cell
 from ..sheet.table import Table
 from ..sheet.values import CellValue, ValueType
 from ..sheet.workbook import Workbook
@@ -142,42 +144,76 @@ class Evaluator:
     def _filter_rows(
         self, condition: ast.Expr, table: Table, rows: list[int]
     ) -> list[int]:
-        return [i for i in rows if self.eval_filter(condition, table, i)]
+        """The rows among ``rows`` that satisfy ``condition``.  The filter
+        is compiled once per call into a predicate over one row's cells
+        (:meth:`_compile_filter`), so the AST is walked once, not per row."""
+        if isinstance(condition, ast.TrueF):
+            return list(rows)
+        test = self._compile_filter(condition, table)
+        cells = table.cell_rows
+        return [i for i in rows if test(cells[i])]
 
     # -- filters -------------------------------------------------------------
 
-    def eval_filter(self, f: ast.Expr, table: Table, row: int) -> bool:
-        if isinstance(f, ast.TrueF):
-            return True
-        if isinstance(f, ast.And):
-            return self.eval_filter(f.left, table, row) and self.eval_filter(
-                f.right, table, row
-            )
-        if isinstance(f, ast.Or):
-            return self.eval_filter(f.left, table, row) or self.eval_filter(
-                f.right, table, row
-            )
-        if isinstance(f, ast.Not):
-            return not self.eval_filter(f.operand, table, row)
-        if isinstance(f, ast.Compare):
-            left = self._operand(f.left, table, row)
-            right = self._operand(f.right, table, row)
-            if left.is_empty or right.is_empty:
-                return False
-            if f.op is ast.RelOp.EQ:
-                return left.equals(right)
-            if f.op is ast.RelOp.LT:
-                return left.less_than(right)
-            return right.less_than(left)
-        raise EvaluationError(f"not a filter: {f}")
+    def _compile_filter(self, f: ast.Expr, table: Table) -> RowTest:
+        """A predicate over a row's cells that decides ``f`` on that row.
 
-    def _operand(self, e: ast.Expr, table: Table, row: int) -> CellValue:
-        """A comparison operand: a column yields the row's cell, anything
-        else is a scalar evaluated once in the *default* scope (nested
-        reductions like "larger than the average" land here)."""
+        It keeps the semantics of deciding ``f`` row by row with
+        ``And``/``Or`` short-circuiting, including where errors are
+        raised: nothing that can fail runs before the first row reaches
+        it, so a zero-row input or an untaken branch raises nothing."""
+        if isinstance(f, ast.TrueF):
+            return _always
+        if isinstance(f, ast.And):
+            left = self._compile_filter(f.left, table)
+            right = self._compile_filter(f.right, table)
+            return lambda row: left(row) and right(row)
+        if isinstance(f, ast.Or):
+            left = self._compile_filter(f.left, table)
+            right = self._compile_filter(f.right, table)
+            return lambda row: left(row) or right(row)
+        if isinstance(f, ast.Not):
+            inner = self._compile_filter(f.operand, table)
+            return lambda row: not inner(row)
+        if isinstance(f, ast.Compare):
+            return self._compile_compare(f, table)
+
+        def not_a_filter(row):
+            raise EvaluationError(f"not a filter: {f}")
+
+        return not_a_filter
+
+    def _compile_compare(self, f: ast.Compare, table: Table) -> RowTest:
+        """A comparison operand is a column (the row's cell) or a scalar
+        evaluated in the *default* scope (nested reductions like "larger
+        than the average" land here).  Known columns and literals resolve
+        now; a scalar that must be evaluated, or an unknown column, is
+        resolved once, left to right, when the first row reaches the
+        comparison — where evaluating the operands per row would first
+        raise its error."""
+        sides = (f.left, f.right)
+        operands = [_static_operand(e, table) for e in sides]
+        if all(o is not None for o in operands):
+            return _compare_test(f.op, *operands)
+        compiled: RowTest | None = None
+
+        def test(row) -> bool:
+            nonlocal compiled
+            if compiled is None:
+                resolved = [
+                    self._resolve_operand(e, table) if o is None else o
+                    for e, o in zip(sides, operands)
+                ]
+                compiled = _compare_test(f.op, *resolved)
+            return compiled(row)
+
+        return test
+
+    def _resolve_operand(self, e: ast.Expr, table: Table) -> int | CellValue:
+        """A column's position, or a scalar operand's value (raising what
+        evaluating it raises)."""
         if isinstance(e, ast.ColumnRef):
-            j = table.column_index(e.name)
-            return table.cell(row, j).value
+            return table.column_index(e.name)
         return self.eval_scalar(e, self._default_key())
 
     # -- scalars ----------------------------------------------------------------
@@ -207,19 +243,17 @@ class Evaluator:
         table, rows = self.eval_row_source(e.source)
         rows = self._filter_rows(e.condition, table, rows)
         column = table.column(_column_name(e.column))
-        values = [
-            v
+        numbers = [
+            float(v.payload)
             for v in table.column_values(column.name, rows)
-            if not v.is_empty
+            if v.type is not _EMPTY
         ]
         if e.op is ast.ReduceOp.SUM:
-            total = sum(float(v.payload) for v in values)
-            return _make_numeric(total, column.dtype)
-        if not values:
+            return _make_numeric(sum(numbers), column.dtype)
+        if not numbers:
             raise EvaluationError(
                 f"{e.op.value} over no rows (filter matched nothing)"
             )
-        numbers = [float(v.payload) for v in values]
         if e.op is ast.ReduceOp.AVG:
             return _make_numeric(sum(numbers) / len(numbers), column.dtype)
         if e.op is ast.ReduceOp.MIN:
@@ -287,6 +321,104 @@ class Evaluator:
 
     def _default_key(self) -> str:
         return self.workbook.default_table.name.strip().lower()
+
+
+RowTest = Callable[[Sequence[Cell]], bool]
+
+_NUMBER = ValueType.NUMBER
+_CURRENCY = ValueType.CURRENCY
+_TEXT = ValueType.TEXT
+_EMPTY = ValueType.EMPTY
+
+
+def _always(row) -> bool:
+    return True
+
+
+def _static_operand(e: ast.Expr, table: Table) -> int | CellValue | None:
+    """A known column's position or a literal's value — the operands that
+    resolve without evaluating anything, so cannot fail — else None."""
+    if isinstance(e, ast.ColumnRef) and table.has_column(e.name):
+        return table.column_index(e.name)
+    if isinstance(e, ast.Lit):
+        return e.value
+    return None
+
+
+def _compare_test(
+    op: ast.RelOp, left: int | CellValue, right: int | CellValue
+) -> RowTest:
+    """The row predicate of ``op(left, right)``, each operand a column
+    position or a constant value.  ``Eq`` of a column with a number or
+    text constant compares each row with the constant normalised once;
+    every other comparison reads both values and is false when either is
+    empty, else decided by :func:`_relate`."""
+    if op is ast.RelOp.EQ and isinstance(left, int) != isinstance(right, int):
+        j, c = (left, right) if isinstance(left, int) else (right, left)
+        if c.is_numeric or c.type is _TEXT:
+            return _equals_test(j, c)
+    read_left, read_right = _reader(left), _reader(right)
+
+    def test(row) -> bool:
+        a = read_left(row)
+        b = read_right(row)
+        if a.type is _EMPTY or b.type is _EMPTY:
+            return False
+        return _relate(op, a, b)
+
+    return test
+
+
+def _reader(
+    operand: int | CellValue,
+) -> Callable[[Sequence[Cell]], CellValue]:
+    """A row's value of a column position, or a constant's value."""
+    if isinstance(operand, int):
+        return lambda row: row[operand].value
+    return lambda row: operand
+
+
+def _relate(op: ast.RelOp, left: CellValue, right: CellValue) -> bool:
+    """``op(left, right)`` on two non-empty values, per
+    :meth:`CellValue.equals` / :meth:`CellValue.less_than` (which raises
+    ``TypeError`` on unordered types)."""
+    if op is ast.RelOp.EQ:
+        return left.equals(right)
+    if op is ast.RelOp.LT:
+        return left.less_than(right)
+    return right.less_than(left)
+
+
+def _equals_test(j: int, c: CellValue) -> RowTest:
+    """``Eq`` of column ``j`` with a number or text constant ``c``, as
+    :meth:`CellValue.equals` decides it: numbers and currencies by
+    magnitude, text case- and space-insensitively."""
+    if c.is_numeric:
+        magnitude = float(c.payload)
+
+        def numeric(row) -> bool:
+            v = row[j].value
+            t = v.type
+            return (t is _NUMBER or t is _CURRENCY) and (
+                float(v.payload) == magnitude
+            )
+
+        return numeric
+    norm = str(c.payload).strip().lower()
+    # Verdict per distinct payload: a column repeats its values.
+    seen: dict[str, bool] = {}
+
+    def text(row) -> bool:
+        v = row[j].value
+        if v.type is not _TEXT:
+            return False
+        try:
+            return seen[v.payload]
+        except KeyError:
+            hit = seen[v.payload] = str(v.payload).strip().lower() == norm
+            return hit
+
+    return text
 
 
 def _column_name(e: ast.Expr) -> str:

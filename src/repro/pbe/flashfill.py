@@ -216,9 +216,12 @@ def _append_column(table: Table, column: Column, values) -> None:
         raise PbeError(f"column {column.name!r} already exists")
     if len(values) != table.n_rows:
         raise PbeError("value count must match the row count")
-    table._columns.append(column)
-    table._index[column.key] = len(table._columns) - 1
     from ..sheet.cell import Cell
 
     for row, value in zip(table._rows, values):
         row.append(Cell(value=value))
+    # Assign, never mutate in place: the assignments go through Table's
+    # revision hook, so memos keyed on table content see the new column
+    # even on a zero-row table, where no cell is written.
+    table._index = {**table._index, column.key: len(table._columns)}
+    table._columns = [*table._columns, column]

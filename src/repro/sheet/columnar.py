@@ -27,9 +27,10 @@ harness proves both modes byte-identical.
 
 The index is pure derived state: building it never mutates the workbook,
 and :meth:`repro.sheet.workbook.Workbook.columnar_index` memoises it
-against the global sheet revision counter, so forked gateway workers
-inherit a warm index (and the module-level template tables) through fork
-copy-on-write.
+against the global table revision (:mod:`repro.sheet.cell`), which only
+table-content writes move, so forked gateway workers inherit a warm index
+(and the module-level template tables) through fork copy-on-write, and a
+session step that writes outside the tables keeps it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def columnar_enabled() -> bool:
 def set_columnar(enabled: bool) -> None:
     """Flip the columnar switch at runtime (tests, differential harness).
 
-    The per-workbook index memo is keyed on the revision counter and the
+    The per-workbook index memo is keyed on the table revision and the
     index itself is a pure function of sheet content, so nothing needs
     clearing on a flip: a disabled probe simply never consults it.
     """
@@ -114,13 +115,14 @@ def _distinct_ids(ids: array) -> frozenset[int]:
 class ColumnarIndex:
     """Interned-string-id view of every TEXT column in a workbook.
 
-    Built once per sheet revision (see ``Workbook.columnar_index``); all
+    Built once per table revision (see ``Workbook.columnar_index``); all
     derived artefacts — slot lists, the merged value lexicon, vocabulary
     sets — are computed lazily and memoised on the index, so they are
     shared by every ``SheetContext``/``TypeChecker`` over the same sheet
     state.  ``derived`` is a scratch memo for higher layers to stash
-    revision-scoped objects (e.g. the spell corrector) without this module
-    needing to know about them.
+    objects that depend on table content only (e.g. the spell corrector)
+    without this module needing to know about them: the index outlives
+    format, scratch, cursor and selection changes.
     """
 
     def __init__(self, workbook: "Workbook") -> None:
@@ -215,7 +217,7 @@ class ColumnarIndex:
         vector = columns.get(column_name)
         return vector is not None and ident in vector.distinct
 
-    # -- derived, revision-scoped artefacts --------------------------------
+    # -- derived, table-revision-scoped artefacts --------------------------
 
     def all_text_values(self) -> dict[str, list[tuple[str, str]]]:
         """The merged value -> slots lexicon, equal (keys, and slot-list

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ..errors import SheetError, UnknownColumnError
 from .address import CellAddress
-from .cell import Cell, bump_revision
+from .cell import Cell, bump_table_revision
 from .column import Column, infer_column_type
 from .formatting import FormatFn
 from .values import CellValue, ValueType
@@ -22,11 +22,13 @@ from .values import CellValue, ValueType
 class Table:
     """A named table of typed columns and mutable cells."""
 
-    # Structural mutations (rename, re-anchor, row/column surgery) must
-    # invalidate memoised workbook fingerprints just like cell writes do.
+    # Structural mutations (rename, re-anchor, row/column surgery) change
+    # table content, so they invalidate the same memos a cell write does.
+    # Construction assigns through ``object.__setattr__``: a new table is
+    # in no workbook yet, and ``Workbook.add_table`` bumps on attaching it.
     def __setattr__(self, name: str, value: object) -> None:
         object.__setattr__(self, name, value)
-        bump_revision()
+        bump_table_revision()
 
     def __init__(
         self,
@@ -40,13 +42,12 @@ class Table:
         keys = [c.key for c in columns]
         if len(set(keys)) != len(keys):
             raise SheetError(f"duplicate column names in table {name!r}")
-        self.name = name
-        self.origin = origin
-        self._columns = list(columns)
-        self._index = {c.key: i for i, c in enumerate(self._columns)}
-        self._rows: list[list[Cell]] = []
-        for row in rows:
-            self.append_row(row)
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "origin", origin)
+        init(self, "_columns", list(columns))
+        init(self, "_index", {c.key: i for i, c in enumerate(self._columns)})
+        init(self, "_rows", [self._new_row(row) for row in rows])
 
     # -- construction ------------------------------------------------------
 
@@ -87,6 +88,11 @@ class Table:
         return Table(name, columns, converted, origin=origin)
 
     def append_row(self, values: Sequence[CellValue]) -> None:
+        self._rows.append(self._new_row(values))
+        bump_table_revision()
+
+    def _new_row(self, values: Sequence[CellValue]) -> list[Cell]:
+        """Validated fresh cells for one row of this table."""
         if len(values) != len(self._columns):
             raise SheetError(
                 f"row width {len(values)} != table width {len(self._columns)}"
@@ -97,7 +103,7 @@ class Table:
                     f"value {value.display()!r} ({value.type.value}) not valid "
                     f"for column {col.name!r} ({col.dtype.value})"
                 )
-        self._rows.append([Cell(value=v) for v in values])
+        return [Cell(value=v) for v in values]
 
     # -- shape -------------------------------------------------------------
 
@@ -154,6 +160,13 @@ class Table:
     def iter_row_cells(self, row: int) -> Iterator[Cell]:
         for j in range(self.n_cols):
             yield self.cell(row, j)
+
+    @property
+    def cell_rows(self) -> Sequence[Sequence[Cell]]:
+        """Every row's cells in row order, without copying — the bulk read
+        path (the evaluator's compiled filters).  Read-only: mutate cells
+        through their attributes, never the sequences."""
+        return self._rows
 
     # -- addressing --------------------------------------------------------
 
@@ -215,9 +228,8 @@ class Table:
         """A deep copy: cell values are shared (immutable), cell records
         and row lists are fresh, so mutations never leak across copies."""
         twin = Table(self.name, self._columns, origin=self.origin)
-        twin._columns = list(self._columns)
-        twin._index = dict(self._index)
-        twin._rows = [[cell.copy() for cell in row] for row in self._rows]
+        rows = [[cell.copy() for cell in row] for row in self._rows]
+        object.__setattr__(twin, "_rows", rows)
         return twin
 
     def render(self, max_rows: int = 20) -> str:

@@ -19,7 +19,14 @@ from typing import Iterable, Sequence
 
 from ..errors import SheetError, UnknownTableError
 from .address import CellAddress
-from .cell import Cell, bump_revision, current_revision
+from .cell import (
+    Cell,
+    ScratchCell,
+    bump_revision,
+    bump_table_revision,
+    current_revision,
+    table_revision,
+)
 from .columnar import ColumnarIndex, columnar_enabled
 from .table import Table
 from .values import CellValue
@@ -40,21 +47,27 @@ class Workbook:
         self._text_values: dict[str, list[tuple[str, str]]] | None = None
         self._text_values_revision: int = -1
 
-    def _touch(self) -> None:
-        """Record a workbook-level mutation (cursor, selection, tables).
-
-        Cell- and table-level mutations bump the shared revision counter
-        on their own via ``__setattr__`` hooks; this covers the workbook
-        state those hooks cannot see.
-        """
-        bump_revision()
+    def __getstate__(self) -> dict:
+        """Pickle without the revision-keyed memos.  Revision counters
+        are per process, so a memo's revision means nothing where the
+        payload is unpickled and could match an unrelated counter value
+        there; the receiving process rebuilds on first use."""
+        state = self.__dict__.copy()
+        state.update(
+            _fp_digest=None, _fp_revision=-1,
+            _columnar=None, _columnar_revision=-1,
+            _text_values=None, _text_values_revision=-1,
+        )
+        return state
 
     def clone(self) -> "Workbook":
         """A deep copy of the whole interactive state (tables, scratch
-        cells, cursor, selection) — the undo snapshot."""
+        cells, cursor, selection) — the undo snapshot.  Copying mutates
+        nothing, so it leaves every memo of this workbook valid."""
         twin = Workbook()
-        for table in self._tables.values():
-            twin.add_table(table.clone(), origin=table.origin)
+        twin._tables = {
+            key: table.clone() for key, table in self._tables.items()
+        }
         twin._scratch = {
             address: cell.copy() for address, cell in self._scratch.items()
         }
@@ -82,7 +95,7 @@ class Workbook:
         }
         self._cursor = snapshot._cursor
         self._selection = snapshot._selection
-        self._touch()
+        bump_table_revision()
 
     def fingerprint(self) -> str:
         """A stable content hash of the whole interactive state.
@@ -94,10 +107,11 @@ class Workbook:
         per-workbook circuit breakers, and memoised translation results
         (:mod:`repro.cache`) on this value.
 
-        The hash is memoised against the sheet revision counter
+        The hash is memoised against the full sheet revision
         (:func:`repro.sheet.cell.current_revision`): any mutation anywhere
-        — a cell write, a table re-anchor, a cursor move — forces a
-        recompute, so serving layers can call this per request for free.
+        — a cell value or format write, a scratch write, a table re-anchor,
+        a cursor move — forces a recompute, so serving layers can call
+        this per request for free.
         """
         revision = current_revision()
         if self._fp_digest is not None and self._fp_revision == revision:
@@ -160,7 +174,7 @@ class Workbook:
             )
             table.origin = CellAddress(0, last.origin.row + last.n_rows + 3)
         self._tables[key] = table
-        self._touch()
+        bump_table_revision()
         return table
 
     def table(self, name: str) -> Table:
@@ -199,7 +213,7 @@ class Workbook:
         if isinstance(address, str):
             address = CellAddress.parse(address)
         self._cursor = address
-        self._touch()
+        bump_revision()
 
     @property
     def has_cursor(self) -> bool:
@@ -238,7 +252,7 @@ class Workbook:
             table, row, col = hit
             table.cell(row, col).value = value
             return
-        self._scratch.setdefault(address, Cell()).value = value
+        self._scratch.setdefault(address, ScratchCell()).value = value
 
     @property
     def scratch_addresses(self) -> list[CellAddress]:
@@ -270,11 +284,11 @@ class Workbook:
 
     def select(self, addresses: Iterable[CellAddress]) -> None:
         self._selection = tuple(sorted(set(addresses)))
-        self._touch()
+        bump_revision()
 
     def clear_selection(self) -> None:
         self._selection = ()
-        self._touch()
+        bump_revision()
 
     def selected_row_indices(self, table: Table) -> list[int]:
         """Rows of ``table`` containing at least one actively-selected cell —
@@ -317,14 +331,21 @@ class Workbook:
 
     def columnar_index(self) -> ColumnarIndex:
         """The interned columnar view of this workbook's text content
-        (:mod:`repro.sheet.columnar`), memoised against the sheet revision
-        counter exactly like :meth:`fingerprint`: any mutation anywhere
-        forces a rebuild, so translators and type checkers can fetch it
-        per construction for free."""
+        (:mod:`repro.sheet.columnar`), memoised against the table revision
+        (:func:`repro.sheet.cell.table_revision`), so translators and type
+        checkers can fetch it per construction for free.
+
+        The index reads table text only, so it is rebuilt after a
+        table-cell value write (through the workbook or directly on a
+        cell), ``add_table``, ``restore`` and any table re-anchor or
+        row/column change, but survives scratch-cell writes, cursor and
+        selection moves, format writes and ``clone()`` — the writes a
+        session step makes.  Unlike :meth:`fingerprint`, it may outlive
+        changes to the visible state."""
         # Revision captured *before* building: a concurrent mutation during
         # the build leaves the memo conservatively stale, never wrongly
         # fresh (same discipline as ``fingerprint``).
-        revision = current_revision()
+        revision = table_revision()
         if self._columnar is not None and self._columnar_revision == revision:
             return self._columnar
         index = ColumnarIndex(self)
@@ -336,14 +357,15 @@ class Workbook:
         """lowercase text value -> [(table name, column name)] everywhere it
         occurs; the translator's sheet-value lexicon.
 
-        Memoised against the sheet revision counter (and served straight
-        from the columnar index when that backend is enabled); callers must
-        treat the result as read-only.  With ``REPRO_NO_COLUMNAR=1`` the
-        original rebuild-per-call row walk is restored unchanged.
+        Memoised against the table revision, like :meth:`columnar_index`
+        (and served straight from the columnar index when that backend is
+        enabled); callers must treat the result as read-only.  With
+        ``REPRO_NO_COLUMNAR=1`` the original rebuild-per-call row walk is
+        restored unchanged.
         """
         if not columnar_enabled():
             return self._all_text_values_rows()
-        revision = current_revision()
+        revision = table_revision()
         if (
             self._text_values is not None
             and self._text_values_revision == revision

@@ -130,7 +130,7 @@ class SheetContext:
 
         Construction sorts the whole vocabulary, which is material on large
         sheets — so with the columnar backend the corrector is memoised on
-        the index (one per sheet revision and extra-vocabulary set, shared
+        the index (one per table revision and extra-vocabulary set, shared
         by every context over the same state).  Behaviour is identical: the
         corrector is stateless after construction and fully determined by
         its vocabulary sets.

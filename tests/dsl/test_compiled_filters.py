@@ -1,0 +1,282 @@
+"""Compiled filters must decide exactly what the per-row walk decides.
+
+The evaluator compiles each filter once per query into a row predicate.
+Over generated workbooks and filters, it must select the same rows as the
+per-row interpreter in ``filter_oracle.py``, or raise the same error type
+with the same message.  The generators aim at the places a compiled
+predicate could drift from ``CellValue.equals`` / ``less_than``: empty
+cells, NUMBER vs CURRENCY magnitudes, TEXT case and whitespace variants,
+BOOL and DATE ordering, ``And``/``Or``/``Not`` short-circuits, and nested
+scalar operands (reductions, counts, cell references — some empty) that
+the walk evaluates on every row and the compiled filter at most once.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dsl import Evaluator, ast
+from repro.sheet import CellValue, Column, Table, ValueType, Workbook
+
+from .filter_oracle import RowWalkEvaluator
+
+_N, _C, _T, _B, _D = (
+    ValueType.NUMBER, ValueType.CURRENCY, ValueType.TEXT,
+    ValueType.BOOL, ValueType.DATE,
+)
+_COLUMNS = (("num", _N), ("cur", _C), ("txt", _T), ("flag", _B), ("day", _D))
+_CELLS = {
+    _N: [CellValue.number(x) for x in (0, 2, 2.0, 2.5, -1, 7)],
+    _C: [CellValue.currency(x) for x in (0, 2, 2.5, 3, 7)],
+    _T: [CellValue.text(s) for s in (
+        "chef", "Chef", " CHEF ", "barista", "capitol hill",
+        "Capitol Hill ", "", " ",
+    )],
+    _B: [CellValue.boolean(b) for b in (True, False)],
+    _D: [CellValue.date(d)
+         for d in ("2013-01-01", "2014-06-01", "2015-12-31")],
+}
+# What each column type is compared with: its own cell values plus near
+# misses, the empty value and two values of other types whose payloads
+# Python calls equal to 0 and False; NUMBER and CURRENCY are pooled so
+# that equal magnitudes meet across the two types.
+_NUMERIC = [*_CELLS[_N], *_CELLS[_C], CellValue.number(3),
+            CellValue.currency(2.0)]
+_OTHERS = [CellValue.empty(), CellValue.boolean(False), CellValue.number(0)]
+_PARTNERS = {
+    dtype: [*pool, *_OTHERS] for dtype, pool in {
+        _N: _NUMERIC, _C: _NUMERIC,
+        _T: [*_CELLS[_T], CellValue.text("nobody")],
+        _B: _CELLS[_B],
+        _D: [*_CELLS[_D], CellValue.date("2014-06-02")],
+    }.items()
+}
+_LITERALS = [v for pool in _PARTNERS.values() for v in pool]
+# Z1..Z4 hold values; Z5 is blank, so a reference to it raises.
+_SCRATCH = {
+    "Z1": CellValue.number(2), "Z2": CellValue.text("chef"),
+    "Z3": CellValue.currency(3), "Z4": CellValue.date("2014-06-01"),
+}
+_COLUMN_NAMES = [name for name, _ in _COLUMNS] + ["nosuch"]
+
+
+@st.composite
+def workbooks(draw):
+    """A default table T over every column type (cells may be empty), a
+    narrower second table U, and scratch cells outside both."""
+    wb = Workbook()
+    for name, columns in (("T", _COLUMNS), ("U", _COLUMNS[:3])):
+        rows = [
+            [
+                draw(st.one_of(
+                    st.just(CellValue.empty()), st.sampled_from(_CELLS[dtype])
+                ))
+                for _, dtype in columns
+            ]
+            for _ in range(draw(st.integers(0, 8)))
+        ]
+        wb.add_table(Table(name, [Column(n, t) for n, t in columns], rows))
+    for a1, value in _SCRATCH.items():
+        wb.set_value(a1, value)
+    return wb
+
+
+def _columns():
+    return st.sampled_from(_COLUMN_NAMES).map(ast.ColumnRef)
+
+
+def _scalars(filters):
+    """Scalar operands: literals, cell references (Z5 is blank) and nested
+    reductions and counts over the default table."""
+    literal = st.sampled_from(_LITERALS).map(ast.Lit)
+    cell = st.sampled_from(["Z1", "Z2", "Z3", "Z4", "Z5"]).map(ast.CellRef)
+    nested = st.tuples(
+        st.sampled_from([*ast.ReduceOp, "count"]),
+        st.sampled_from(["num", "cur"]).map(ast.ColumnRef),
+        filters,
+    ).map(_nested)
+    return st.one_of(literal, cell, nested)
+
+
+def _nested(parts) -> ast.Expr:
+    op, column, condition = parts
+    if op == "count":
+        return ast.Count(ast.GetTable(), condition)
+    return ast.Reduce(op, column, ast.GetTable(), condition)
+
+
+def _compares(filters):
+    """Comparisons: a column against a literal its type can meet, on
+    either side, two columns, or any two operands (column/column,
+    column/scalar, scalar/column, scalar/scalar)."""
+    typed = st.sampled_from(_COLUMNS).flatmap(
+        lambda column: st.tuples(
+            st.just(ast.ColumnRef(column[0])),
+            st.sampled_from(_PARTNERS[column[1]]).map(ast.Lit),
+        )
+    )
+    operand = st.one_of(_columns(), _scalars(filters))
+    pairs = st.one_of(
+        typed,
+        typed.map(lambda pair: pair[::-1]),
+        st.lists(_columns(), min_size=2, max_size=2),
+        st.lists(operand, min_size=2, max_size=2),
+    )
+    return st.tuples(st.sampled_from(list(ast.RelOp)), pairs).map(
+        lambda parts: ast.Compare(parts[0], *parts[1])
+    )
+
+
+def _filters(depth: int = 2):
+    """Filter trees whose nested operands hold filters of ``depth - 1``."""
+    inner = _filters(depth - 1) if depth else st.just(ast.TrueF())
+    compares = _compares(inner)
+    # Mostly comparisons; one leaf in ten is not a filter at all.
+    leaves = st.integers(0, 9).flatmap(
+        lambda k: compares if k < 7 else st.just(
+            ast.TrueF() if k < 9 else ast.Lit(CellValue.number(1))
+        )
+    )
+    return st.recursive(
+        leaves,
+        lambda tree: st.one_of(
+            st.builds(ast.And, tree, tree),
+            st.builds(ast.Or, tree, tree),
+            st.builds(ast.Not, tree),
+        ),
+        max_leaves=5,
+    )
+
+
+def _outcome(evaluator, condition, table, rows):
+    try:
+        return ("rows", evaluator._filter_rows(condition, table, list(rows)))
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return ("error", type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(workbooks(), _filters(), st.data())
+def test_compiled_filter_agrees_with_row_walk(wb, condition, data):
+    """Same rows selected, or the same error raised, on every table and on
+    all rows, a subset of rows or none."""
+    for name in ("T", "U"):
+        table = wb.table(name)
+        every = range(table.n_rows)
+        subset = data.draw(st.lists(st.sampled_from(every), unique=True)
+                           .map(sorted)) if table.n_rows else []
+        for rows in (every, subset, []):
+            compiled = _outcome(Evaluator(wb), condition, table, rows)
+            walked = _outcome(RowWalkEvaluator(wb), condition, table, rows)
+            assert compiled == walked, (str(condition), name, list(rows))
+
+
+def _people(n: int) -> Workbook:
+    wb = Workbook()
+    wb.add_table(Table.from_data(
+        "People", ["name", "age"],
+        [[f"p{i}", i % 50] for i in range(n)],
+    ))
+    return wb
+
+
+def test_equality_against_constants():
+    """Text matches across case and surrounding space, NUMBER meets
+    CURRENCY by magnitude, and nothing else crosses types, though Python
+    calls ``0 == False`` and ``1 == True``."""
+    wb = Workbook()
+    wb.add_table(Table.from_data(
+        "Mixed", ["num", "cost", "flag", "word"],
+        [[0, 0, False, " CHEF "], [1, 2.5, True, "chef"],
+         [2, 2, True, "false"], [2.5, 1, False, "0"]],
+        types=[_N, _C, _B, _T],
+    ))
+    literals = [
+        CellValue.boolean(False), CellValue.boolean(True),
+        CellValue.number(0), CellValue.number(1), CellValue.number(2.5),
+        CellValue.currency(2), CellValue.text("chef"),
+        CellValue.text("Chef "), CellValue.text("0"),
+        CellValue.text("false"),
+    ]
+
+    def selected(evaluator, column, literal, column_first=True):
+        pair = (ast.ColumnRef(column), ast.Lit(literal))
+        condition = ast.Compare(
+            ast.RelOp.EQ, *(pair if column_first else pair[::-1])
+        )
+        return evaluator.eval_query(
+            ast.SelectRows(ast.GetTable(), condition)
+        )[1]
+
+    compiled, walked = Evaluator(wb), RowWalkEvaluator(wb)
+    for column in ("num", "cost", "flag", "word"):
+        for literal in literals:
+            for column_first in (True, False):
+                assert selected(compiled, column, literal, column_first) == (
+                    selected(walked, column, literal, column_first)
+                ), (column, literal, column_first)
+    assert selected(compiled, "word", CellValue.text("Chef ")) == [0, 1]
+    assert selected(compiled, "num", CellValue.currency(2)) == [2]
+    assert selected(compiled, "cost", CellValue.number(2.5)) == [1]
+    assert selected(compiled, "num", CellValue.boolean(False)) == []
+
+
+def test_empty_cell_behind_short_circuit_is_never_read():
+    """The walk never reaches the blank Z9 when the left side is false on
+    every row, so neither may the compiled filter."""
+    wb = _people(20)
+    guarded = ast.And(
+        ast.Compare(ast.RelOp.EQ, ast.ColumnRef("name"),
+                    ast.Lit(CellValue.text("nobody"))),
+        ast.Compare(ast.RelOp.GT, ast.ColumnRef("age"), ast.CellRef("Z9")),
+    )
+    query = ast.SelectRows(ast.GetTable(), guarded)
+    assert Evaluator(wb).eval_query(query)[1] == []
+    assert RowWalkEvaluator(wb).eval_query(query)[1] == []
+
+
+def test_zero_rows_raise_nothing():
+    """On an empty row set nothing is evaluated: not an unknown column, not
+    a blank cell, not a node that is no filter at all."""
+    wb = _people(3)
+    table = wb.default_table
+    for condition in (
+        ast.Compare(ast.RelOp.EQ, ast.ColumnRef("nosuch"),
+                    ast.Lit(CellValue.number(1))),
+        ast.Compare(ast.RelOp.LT, ast.ColumnRef("age"), ast.CellRef("Z9")),
+        ast.Lit(CellValue.number(1)),
+    ):
+        assert Evaluator(wb)._filter_rows(condition, table, []) == []
+
+
+def test_nested_reduction_is_evaluated_once(monkeypatch):
+    """Task countries-02's shape, "rows whose gdp per capita is above the
+    average", on a 2,000-row sheet: the inner ``Avg`` runs once per query,
+    where the per-row walk runs it once per row."""
+    rows = [[f"c{i}", (i * 37) % 101] for i in range(2000)]
+    wb = Workbook()
+    wb.add_table(Table.from_data(
+        "Countries", ["country", "gdppercapita"], rows,
+        types=[ValueType.TEXT, ValueType.CURRENCY],
+    ))
+    average = ast.Reduce(
+        ast.ReduceOp.AVG, ast.ColumnRef("gdppercapita"), ast.GetTable(),
+        ast.TrueF(),
+    )
+    program = ast.MakeActive(ast.SelectRows(
+        ast.GetTable(),
+        ast.Compare(ast.RelOp.GT, ast.ColumnRef("gdppercapita"), average),
+    ))
+    calls = []
+    reduce = Evaluator._eval_reduce
+
+    def counting(self, e):
+        calls.append(e)
+        return reduce(self, e)
+
+    monkeypatch.setattr(Evaluator, "_eval_reduce", counting)
+    result = Evaluator(wb).run(program)
+    assert calls == [average]
+    mean = sum(value for _, value in rows) / len(rows)
+    assert result.rows == [i for i, (_, v) in enumerate(rows) if v > mean]

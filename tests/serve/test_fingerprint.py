@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 from repro.serve import (
     WorkbookRegistry,
     load_payload,
@@ -65,6 +67,33 @@ class TestPayload:
         assert twin.table("Employees").n_rows == 6
         assert twin.cursor == workbook.cursor
 
+    def test_forked_worker_never_sees_stale_memos(self):
+        """Revision counters are per process.  A worker forked while the
+        gateway's memos were fresh shares their revision numbers; a
+        payload pickled after a later write must not carry those memos
+        across, or the worker would be served the pre-write index and
+        fingerprint."""
+        workbook = make_payroll()
+        workbook.columnar_index()
+        workbook.fingerprint()
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
+        worker = context.Process(target=_describe_payload, args=(theirs,))
+        worker.start()
+        try:
+            workbook.table("Employees").cell(0, 0).value = CellValue.text(
+                "zoe"
+            )
+            ours.send_bytes(workbook_payload(workbook))
+            assert ours.poll(30), "worker did not answer"
+            name, zoe, alice, fingerprint = ours.recv()
+        finally:
+            worker.join(30)
+        assert name == "zoe"
+        assert zoe == (("Employees", "name"),)
+        assert alice == ()
+        assert fingerprint == workbook.fingerprint()
+
     def test_registry_memoises_payload(self):
         registry = WorkbookRegistry()
         workbook = make_payroll()
@@ -85,3 +114,16 @@ class TestPayload:
         assert fp1 != fp2
         assert len(registry) == 2
         assert registry.payload(fp1) is not None
+
+
+def _describe_payload(conn) -> None:
+    """Forked worker: unpickle a workbook and report what it sees."""
+    workbook = load_payload(conn.recv_bytes())
+    index = workbook.columnar_index()
+    conn.send((
+        workbook.table("Employees").cell(0, 0).value.payload,
+        index.slots("zoe"),
+        index.slots("alice"),
+        workbook.fingerprint(),
+    ))
+    conn.close()

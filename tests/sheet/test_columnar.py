@@ -11,8 +11,8 @@ its row-backed counterpart in both ``REPRO_NO_COLUMNAR`` modes:
 * the type checker's value-in-column content probe,
 * the derived vocabulary artefacts (value words, max span width).
 
-Deterministic unit tests cover the revision-memo behaviour and the
-escape-hatch switch itself.
+Deterministic unit tests cover the revision-memo behaviour — which writes
+keep the index and which rebuild it — and the escape-hatch switch itself.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataset import build_sheet
+from repro.dataset import build_sheet, stress_sentences, stress_workbook
+from repro.pbe import fill_column
+from repro.session import NLyzeSession
 from repro.sheet import (
     CellValue,
     Column,
+    FormatFn,
     Table,
     ValueType,
     Workbook,
@@ -192,3 +195,120 @@ def test_occurs_in_unknown_table_and_column():
     assert not index.occurs_in("employees", "chef", "nope")
     assert not index.occurs_in("employees", "nope", "title")
     assert index.occurs_in("employees", "chef", "title")
+
+
+# -- memo scope: the index reads table text only ---------------------------
+
+
+def _select(wb, rows=(0, 2)):
+    wb.select_rows(wb.table("Employees"), rows)
+
+
+def _format(wb):
+    wb.table("Employees").cell(1, 2).apply_formats([FormatFn("bold", True)])
+
+
+def _table_cell(wb):
+    wb.table("Employees").cell(0, 0).value = CellValue.text("zoe")
+
+
+def _add_table(wb):
+    wb.add_table(Table.from_data("Extra", ["tag"], [["zoe"]]))
+
+
+def _flash_fill(wb):
+    fill_column(wb.table("Employees"), "name", "initial", [("alice", "a")])
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda wb: wb.set_value("Z9", CellValue.number(7)),
+    lambda wb: wb.set_cursor("Z10"),
+    lambda wb: _select(wb, (1,)),
+    lambda wb: wb.clear_selection(),
+    _format,
+], ids=["scratch", "cursor", "select", "clear_selection", "format"])
+def test_index_survives_writes_outside_table_text(mutate):
+    """A session step writes a scratch cell and moves the cursor; neither,
+    nor a selection or a format, is read by the index."""
+    wb = build_sheet("payroll")
+    _select(wb)
+    index = wb.columnar_index()
+    lexicon = wb.all_text_values()
+    before = wb.fingerprint()
+    mutate(wb)
+    assert wb.columnar_index() is index
+    assert wb.all_text_values() is lexicon
+    assert wb.fingerprint() != before
+
+
+def test_index_survives_clone():
+    wb = build_sheet("payroll")
+    index = wb.columnar_index()
+    before = wb.fingerprint()
+    twin = wb.clone()
+    assert wb.columnar_index() is index
+    assert wb.fingerprint() == before == twin.fingerprint()
+    assert twin.columnar_index() is not index
+    # The twin's scratch cells stay outside the table revision too.
+    twin.set_value("Z9", CellValue.number(7))
+    assert wb.columnar_index() is index
+
+
+@pytest.mark.parametrize("mutate", [
+    _table_cell, _add_table, _flash_fill,
+], ids=["table_cell", "add_table", "flash_fill"])
+def test_index_rebuilt_after_table_text_changes(mutate):
+    wb = build_sheet("payroll")
+    index = wb.columnar_index()
+    before = wb.fingerprint()
+    mutate(wb)
+    assert wb.columnar_index() is not index
+    assert wb.fingerprint() != before
+
+
+def test_index_rebuilt_after_restore():
+    """Undo restores a snapshot: the index must drop the undone write."""
+    wb = build_sheet("payroll")
+    snapshot = wb.clone()
+    _table_cell(wb)
+    index = wb.columnar_index()
+    before = wb.fingerprint()
+    assert index.slots("zoe") == (("Employees", "name"),)
+    wb.restore(snapshot)
+    fresh = wb.columnar_index()
+    assert fresh is not index
+    assert fresh.slots("zoe") == ()
+    assert wb.fingerprint() != before
+    assert wb.fingerprint() == snapshot.fingerprint()
+
+
+def test_flash_fill_on_zero_row_table_invalidates_memos():
+    """Appending a column to an empty table writes no cell; the memos must
+    still see the new column."""
+    wb = Workbook()
+    wb.add_table(Table.from_data("Papers", ["authors"], []))
+    index = wb.columnar_index()
+    before = wb.fingerprint()
+    fill_column(wb.table("Papers"), "authors", "firstauthor",
+                [("harris, gulwani", "harris")])
+    assert wb.fingerprint() != before
+    fresh = wb.columnar_index()
+    assert fresh is not index
+    assert fresh.slots("harris") == ()
+    assert [name for name, _ in fresh._tables] == ["Papers"]
+    assert [v.name for v in fresh._tables[0][1]] == [
+        "authors", "firstauthor"
+    ]
+
+
+def test_session_steps_keep_one_index():
+    """Ask+accept steps place values outside the table, so a session on
+    a 2,000-row sheet builds its index once."""
+    wb = stress_workbook(2000)
+    session = NLyzeSession(wb)
+    index = wb.columnar_index()
+    for sentence in stress_sentences(wb, 6):
+        before = wb.fingerprint()
+        session.run(sentence)
+        assert wb.fingerprint() != before
+        assert wb.columnar_index() is index
