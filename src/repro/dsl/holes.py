@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from ..errors import HoleError
 from ..sheet.values import ValueType
 from . import ast
-from .types import TypeChecker
+from .types import TypeChecker, remember
 
 
 def holes_of(expr: ast.Expr) -> tuple[ast.Hole, ...]:
@@ -89,6 +89,9 @@ def substitute_unchecked(
     return expr.replace_children(new_children)
 
 
+_UNSEEN = object()
+
+
 def substitute(
     expr: ast.Expr,
     bindings: Mapping[int, ast.Expr],
@@ -100,7 +103,28 @@ def substitute(
     inconsistent with its hole's restriction or the result fails ``Valid``.
     Raises :class:`HoleError` if a binding names a hole not present in
     ``expr`` (a bug in the caller, not a translation failure).
+
+    The verdict is memoised per (expression, bindings) in ``checker``'s
+    substitution table: rule instantiation and CombAll repeat the same
+    substitutions at span after span.  A ``HoleError`` is never cached, so
+    every such call raises.
     """
+    # One flat tuple (expression, idents..., replacements...): the table
+    # holds tens of thousands of keys, and nested pair tuples would more
+    # than double their memory.
+    key = (expr, *bindings, *bindings.values())
+    verdict = checker.substitutions.get(key, _UNSEEN)
+    if verdict is _UNSEEN:
+        verdict = _substitute(expr, bindings, checker)
+        remember(checker.substitutions, key, verdict)
+    return verdict
+
+
+def _substitute(
+    expr: ast.Expr,
+    bindings: Mapping[int, ast.Expr],
+    checker: TypeChecker,
+) -> ast.Expr | None:
     holes = {h.ident: h for h in holes_of(expr)}
     for ident, replacement in bindings.items():
         hole = holes.get(ident)
@@ -108,8 +132,8 @@ def substitute(
             raise HoleError(f"no hole with ident {ident} in {expr}")
         if not consistent(replacement, hole.kind):
             return None
-    # Interning before the Valid probe turns repeat substitutions (the same
-    # rule filled with the same bindings at another span) into cache hits.
+    # Interned, so the Valid probe and every later lookup of the result are
+    # identity-backed.
     result = ast.intern(substitute_unchecked(expr, bindings))
     if not checker.valid(result):
         return None

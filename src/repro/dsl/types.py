@@ -60,6 +60,22 @@ ANY = DslType(Kind.ANY)
 
 _PROGRAM_KINDS = (Kind.PROGRAM, Kind.SCALAR, Kind.VECTOR, Kind.COLUMN, Kind.ANY)
 
+# Entries a checker memo may hold before it is cleared wholesale (the policy
+# of ``ast._INTERN_CAP``).  A gateway worker keeps its warm translators, and
+# so their checkers, for its whole life; fed sentences with ever-new
+# literals, an unbounded memo would grow with it.  A clear costs only
+# recomputation.  The Table 2 test split stays well under the cap: its
+# largest memo, one sheet's substitution table after the whole split, holds
+# under 20k entries.
+MEMO_CAP = 1 << 16
+
+
+def remember(memo: dict, key, value) -> None:
+    """``memo[key] = value``, clearing ``memo`` first once it is full."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+
 
 class TypeChecker:
     """Typing judgments for DSL expressions over a concrete workbook."""
@@ -82,6 +98,11 @@ class TypeChecker:
         self._valid_cache: dict[ast.Expr, bool] = {}
         self._fail_cache: dict[tuple[ast.Expr, str | None], str] = {}
         self._program_cache: dict[ast.Expr, bool] = {}
+        # :func:`repro.dsl.holes.substitute`'s verdicts, keyed by
+        # (expression, bindings): kept here so they share this checker's
+        # lifetime with the Valid verdicts they depend on.  Kept with the
+        # hot path on or off.
+        self.substitutions: dict[tuple, ast.Expr | None] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -97,7 +118,7 @@ class TypeChecker:
                 ok = True
             except DslTypeError:
                 ok = False
-            self._valid_cache[expr] = ok
+            remember(self._valid_cache, expr, ok)
             return ok
         try:
             self.type_of(expr)
@@ -112,7 +133,7 @@ class TypeChecker:
         cached = self._program_cache.get(expr)
         if cached is None:
             cached = self._compute_valid_program(expr)
-            self._program_cache[expr] = cached
+            remember(self._program_cache, expr, cached)
         return cached
 
     def _compute_valid_program(self, expr: ast.Expr) -> bool:
@@ -139,11 +160,11 @@ class TypeChecker:
             try:
                 result = self._compute(expr, scope)
             except DslTypeError as exc:
-                self._fail_cache[key] = str(exc)
+                remember(self._fail_cache, key, str(exc))
                 raise
         else:
             result = self._compute(expr, scope)
-        self._cache[key] = result
+        remember(self._cache, key, result)
         return result
 
     # -- dispatch ----------------------------------------------------------

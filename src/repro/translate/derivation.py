@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dsl import ast
+from ..dsl.holes import holes_of
 
 ATOM = "atom"
 RULE = "rule"
@@ -47,22 +48,33 @@ class Derivation:
     prod_score: float = field(init=False, default=1.0)
     swizzled: int = field(init=False, default=0)
     all_pairs: int = field(init=False, default=0)
-    # ``UsedW - UsedCW``: the words the synthesis disjointness condition
-    # compares (paper §3.2).  Precomputed — ``synthesize`` reads it per pair
-    # in the quadratic frontier scan.
-    used_non_column: frozenset[int] = field(
-        init=False, repr=False, compare=False, default=frozenset()
-    )
+    # ``UsedW - UsedCW`` (the words the synthesis disjointness condition
+    # compares, paper §3.2) as a bitmask over word positions, and whether
+    # ``expr`` still has holes.  Precomputed — ``synthesize`` reads both per
+    # pair in the quadratic frontier scan.
+    word_mask: int = field(init=False, repr=False, compare=False, default=0)
+    is_open: bool = field(init=False, repr=False, compare=False, default=False)
+    # ProdSc's (sum, count) over this subtree, so a parent adds its
+    # children's instead of re-walking them.
+    prod_total: float = field(init=False, repr=False, compare=False, default=0.0)
+    prod_count: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         # Hash-cons the expression (no-op under REPRO_NO_INTERN): every
         # derivation created anywhere in the pipeline carries a canonical
         # node, so downstream dedup/type-checker probes are identity-backed.
         object.__setattr__(self, "expr", ast.intern(self.expr))
-        object.__setattr__(self, "used_non_column", self.used - self.used_cols)
+        mask = 0
+        for k in self.used:
+            if k not in self.used_cols:
+                mask |= 1 << k
+        object.__setattr__(self, "word_mask", mask)
+        object.__setattr__(self, "is_open", bool(holes_of(self.expr)))
         object.__setattr__(self, "_key", (self.expr, self.used))
         object.__setattr__(self, "node_score", self._node_score())
         total, count = self._prod_parts()
+        object.__setattr__(self, "prod_total", total)
+        object.__setattr__(self, "prod_count", count)
         object.__setattr__(
             self, "prod_score", total / count if count else self.rule_score
         )
@@ -81,6 +93,11 @@ class Derivation:
     @property
     def children(self) -> tuple["Derivation", ...]:
         return self.rule_children + self.synth_children
+
+    @property
+    def used_non_column(self) -> frozenset[int]:
+        """``UsedW - UsedCW``: the set ``word_mask`` encodes."""
+        return self.used - self.used_cols
 
     # -- §3.4 production score ---------------------------------------------------
 
@@ -107,14 +124,14 @@ class Derivation:
 
     def _prod_parts(self) -> tuple[float, int]:
         """(sum of node scores, count) over all non-atom sub-derivations —
-        ProdSc is their mean."""
+        ProdSc is their mean.  Each child's parts were stored when it was
+        built, so this adds them in the order a recursive walk would."""
         if self.kind == ATOM:
             return (0.0, 0)
         total, count = self.node_score, 1
         for c in self.children:
-            t, n = c._prod_parts()
-            total += t
-            count += n
+            total += c.prod_total
+            count += c.prod_count
         return (total, count)
 
     # -- §3.4 mix score ------------------------------------------------------------

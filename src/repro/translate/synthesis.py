@@ -19,7 +19,7 @@ work proportional to genuinely new combinations.
 from __future__ import annotations
 
 from ..dsl import ast
-from ..dsl.holes import consistent, holes_of, substitute_unchecked
+from ..dsl.holes import holes_of, substitute
 from ..dsl.types import Kind, TypeChecker
 from ..errors import DslTypeError
 from ..runtime.budget import Budget
@@ -37,24 +37,22 @@ def comb_all(
 
     Mirrors the paper's ``CombAll``: the word-disjointness side condition
     (ignoring column words) bounds the closure, and every substitution is
-    validated with ``Valid``.
+    validated with ``Valid`` (through :func:`substitute`, whose memo rule
+    instantiation shares).
     """
-    if receiver.used_non_column & filler.used_non_column:
+    if receiver.word_mask & filler.word_mask:
         return []
     out: list[Derivation] = []
-    filler_holes = holes_of(filler.expr)
-    if filler_holes:
+    if filler.is_open:
         # Substituting an open expression into another open expression
         # explodes the closure for no recall benefit; the paper's examples
         # only ever substitute closed sub-expressions.  Skip.
         return out
     for hole in holes_of(receiver.expr):
-        if not consistent(filler.expr, hole.kind):
-            continue
-        candidate = ast.intern(
-            substitute_unchecked(receiver.expr, {hole.ident: filler.expr})
+        candidate = substitute(
+            receiver.expr, {hole.ident: filler.expr}, checker
         )
-        if not checker.valid(candidate):
+        if candidate is None:
             continue
         out.append(
             Derivation(
@@ -78,9 +76,9 @@ def and_merge(
     Only produced in one canonical operand order so the closure does not
     generate both ``And(f, g)`` and ``And(g, f)``.
     """
-    if a.used_non_column & b.used_non_column:
+    if a.word_mask & b.word_mask:
         return None
-    if holes_of(a.expr) or holes_of(b.expr):
+    if a.is_open or b.is_open:
         return None
     if str(a.expr) > str(b.expr):
         return None
@@ -110,29 +108,21 @@ def and_merge(
 def _combine_pair(
     a: Derivation, b: Derivation, checker: TypeChecker
 ) -> list[Derivation]:
-    """All combinations of one pair, with the per-pair invariants hoisted.
+    """All combinations of one word-disjoint pair.
 
-    Every constituent (``comb_all`` both ways, ``and_merge``) requires
-    word-disjointness, so one overlap test retires the pair; ``comb_all``
-    only produces when the receiver is open and the filler closed, and
-    ``and_merge`` only when both are closed, so the openness of each side
-    (cached on the node) selects exactly the calls that can produce.
+    ``synthesize`` retires word-overlapping pairs before calling this (every
+    constituent requires disjointness, so they produce nothing).
+    ``comb_all`` only produces when the receiver is open and the filler
+    closed, and ``and_merge`` only when both are closed, so the stored
+    openness of each side selects exactly the calls that can produce.
     Output and ordering are identical to the unconditional cascade.
     """
-    if a.used_non_column & b.used_non_column:
-        return []
-    a_open = bool(holes_of(a.expr))
-    b_open = bool(holes_of(b.expr))
-    produced: list[Derivation] = []
-    if a_open and not b_open:
-        produced += comb_all(a, b, checker)
-    elif b_open and not a_open:
-        produced += comb_all(b, a, checker)
-    elif not a_open:  # both closed
-        merged = and_merge(a, b, checker) or and_merge(b, a, checker)
-        if merged is not None:
-            produced.append(merged)
-    return produced
+    if a.is_open:
+        return [] if b.is_open else comb_all(a, b, checker)
+    if b.is_open:
+        return comb_all(b, a, checker)
+    merged = and_merge(a, b, checker) or and_merge(b, a, checker)
+    return [] if merged is None else [merged]
 
 
 def synthesize(
@@ -179,8 +169,12 @@ def synthesize(
             break
         if budget is not None and budget.exceeded("synthesis"):
             break
+        a_key, a_mask = a.key(), a.word_mask
         for b in right:
-            if a.key() == b.key():
+            # An overlapping pair combines to nothing, and absorbing nothing
+            # changes no state: skipping it keeps the output and the
+            # ``max_new`` cut-off exactly as they were.
+            if b.word_mask & a_mask or b.key() == a_key:
                 continue
             absorb(_combine_pair(a, b, checker), frontier)
             if len(created) + len(frontier) >= max_new:
@@ -197,7 +191,10 @@ def synthesize(
         for d in frontier:
             if budget is not None and budget.exceeded("synthesis"):
                 break
+            d_mask = d.word_mask
             for other in everything:
+                if other.word_mask & d_mask:
+                    continue
                 absorb(_combine_pair(d, other, checker), new_round)
                 if len(created) + len(new_round) >= max_new:
                     break

@@ -34,6 +34,8 @@ from repro.runtime import TranslationService
 from repro.serve import GatewayConfig, TranslationGateway
 from repro.sheet import columnar
 
+from .golden.digest import serialise_service
+
 pytestmark = pytest.mark.slow
 
 _LIMIT = os.environ.get("REPRO_DIFF_LIMIT")
@@ -57,17 +59,6 @@ def _restore_columnar():
     columnar.set_columnar(was)
 
 
-def _serialise_service(result, workbook) -> bytes:
-    lines = [f"tier={result.tier} code={result.error_code}"]
-    lines += [f"{c.program}\t{c.score!r}" for c in result.candidates]
-    if result.top is not None:
-        try:
-            lines.append(f"excel={result.top.excel(workbook)}")
-        except Exception:  # noqa: BLE001 - both modes must fail alike too
-            lines.append("excel=<error>")
-    return "\n".join(lines).encode()
-
-
 def _serialise_gateway(result) -> bytes:
     lines = [f"tier={result.tier} code={result.error_code}"]
     lines += [f"{program}\t{score!r}" for program, score in result.programs]
@@ -81,7 +72,7 @@ def _run_service_split(test_split, workbooks) -> list[bytes]:
         for sheet_id, wb in workbooks.items()
     }
     return [
-        _serialise_service(
+        serialise_service(
             services[d.sheet_id].translate(d.text), workbooks[d.sheet_id]
         )
         for d in test_split
@@ -139,7 +130,7 @@ def test_service_columnar_equals_rows_largesheet():
     def run() -> list[bytes]:
         service = TranslationService(workbook)
         return [
-            _serialise_service(service.translate(text), workbook)
+            serialise_service(service.translate(text), workbook)
             for text in sentences
         ]
 

@@ -25,6 +25,8 @@ from repro.dsl import ast
 from repro.runtime import TranslationService
 from repro.serve import GatewayConfig, TranslationGateway
 
+from .golden.digest import serialise_service
+
 pytestmark = pytest.mark.slow
 
 _LIMIT = os.environ.get("REPRO_DIFF_LIMIT")
@@ -41,19 +43,6 @@ def test_split():
     return descriptions
 
 
-def _serialise_service(result, workbook) -> bytes:
-    """Everything observable about a ranking, as bytes — including the
-    Excel emission for the top candidate (the user-visible artefact)."""
-    lines = [f"tier={result.tier} code={result.error_code}"]
-    lines += [f"{c.program}\t{c.score!r}" for c in result.candidates]
-    if result.top is not None:
-        try:
-            lines.append(f"excel={result.top.excel(workbook)}")
-        except Exception:  # noqa: BLE001 - both modes must fail alike too
-            lines.append("excel=<error>")
-    return "\n".join(lines).encode()
-
-
 def _serialise_gateway(result) -> bytes:
     lines = [f"tier={result.tier} code={result.error_code}"]
     lines += [f"{program}\t{score!r}" for program, score in result.programs]
@@ -67,7 +56,7 @@ def _run_service_split(test_split, workbooks) -> list[bytes]:
         for sheet_id, wb in workbooks.items()
     }
     return [
-        _serialise_service(
+        serialise_service(
             services[d.sheet_id].translate(d.text), workbooks[d.sheet_id]
         )
         for d in test_split

@@ -1,0 +1,28 @@
+"""The Table 2 test split still translates to its committed golden digest.
+
+One pass through ``TranslationService`` over the whole split (seed-2014
+corpus), compared line by line with ``tests/golden/table2_test.digest``.
+The digest covers tier, error code, every candidate's program and
+``repr(score)``, and the top candidate's Excel, so any change to a ranking,
+a score bit or an emitted formula names the first description it touched.
+Regenerate with ``python scripts/regen_golden.py`` only when outputs are
+meant to change.
+"""
+
+from __future__ import annotations
+
+from .golden.digest import read_golden, split_lines
+
+
+def test_table2_split_matches_golden_digest():
+    golden = read_golden()
+    now = split_lines()
+    assert len(now) == len(golden), (
+        f"the split has {len(now)} descriptions, the golden file "
+        f"{len(golden)}"
+    )
+    for k, (want, got) in enumerate(zip(golden, now)):
+        assert got == want, (
+            f"description {k + 1} of {len(golden)} changed its output:\n"
+            f"  golden: {want}\n  now:    {got}"
+        )

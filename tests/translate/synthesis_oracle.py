@@ -1,0 +1,206 @@
+"""Unmemoised substitution and the per-pair synthesis loop: reference oracles.
+
+Production memoises :func:`repro.dsl.holes.substitute` per type checker,
+skips word-overlapping synthesis pairs before combining them, and builds
+ProdSc from each child's stored (sum, count).  The copies here do none of
+that: every substitution is recomputed, every pair goes through the
+combination cascade (which retires overlapping pairs itself), openness is
+read off the expression, and ProdSc re-walks the derivation tree.  They
+exist only to check production against (``test_substitution_memo.py``).
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+
+from repro.dsl import ast
+from repro.dsl.holes import consistent, holes_of, substitute_unchecked
+from repro.dsl.types import Kind, TypeChecker
+from repro.errors import DslTypeError, HoleError
+from repro.translate.derivation import ATOM, RULE, SYNTH, Derivation
+from repro.translate.synthesis import IMPLICIT_AND_SCORE
+
+
+def substitute(
+    expr: ast.Expr, bindings: Mapping[int, ast.Expr], checker: TypeChecker
+) -> ast.Expr | None:
+    """``e[□φm ← em, ...]`` computed afresh on every call."""
+    holes = {h.ident: h for h in holes_of(expr)}
+    for ident, replacement in bindings.items():
+        hole = holes.get(ident)
+        if hole is None:
+            raise HoleError(f"no hole with ident {ident} in {expr}")
+        if not consistent(replacement, hole.kind):
+            return None
+    result = ast.intern(substitute_unchecked(expr, bindings))
+    if not checker.valid(result):
+        return None
+    return result
+
+
+def _non_column(d: Derivation) -> frozenset[int]:
+    return d.used - d.used_cols
+
+
+def comb_all(
+    receiver: Derivation, filler: Derivation, checker: TypeChecker
+) -> list[Derivation]:
+    if _non_column(receiver) & _non_column(filler):
+        return []
+    out: list[Derivation] = []
+    if holes_of(filler.expr):
+        return out
+    for hole in holes_of(receiver.expr):
+        if not consistent(filler.expr, hole.kind):
+            continue
+        candidate = ast.intern(
+            substitute_unchecked(receiver.expr, {hole.ident: filler.expr})
+        )
+        if not checker.valid(candidate):
+            continue
+        out.append(
+            Derivation(
+                expr=candidate,
+                used=receiver.used | filler.used,
+                used_cols=receiver.used_cols | filler.used_cols,
+                kind=SYNTH,
+                rule_score=receiver.rule_score,
+                rule_children=receiver.rule_children,
+                synth_children=receiver.synth_children + (filler,),
+            )
+        )
+    return out
+
+
+def and_merge(
+    a: Derivation, b: Derivation, checker: TypeChecker
+) -> Derivation | None:
+    if _non_column(a) & _non_column(b):
+        return None
+    if holes_of(a.expr) or holes_of(b.expr):
+        return None
+    if str(a.expr) > str(b.expr):
+        return None
+    for d in (a, b):
+        try:
+            if checker.type_of(d.expr).kind is not Kind.FILTER:
+                return None
+        except DslTypeError:
+            return None
+    expr = ast.intern(ast.And(a.expr, b.expr))
+    if not checker.valid(expr):
+        return None
+    return Derivation(
+        expr=expr,
+        used=a.used | b.used,
+        used_cols=a.used_cols | b.used_cols,
+        kind=RULE,
+        rule_score=IMPLICIT_AND_SCORE,
+        rule_children=(a, b),
+    )
+
+
+def combine_pair(
+    a: Derivation, b: Derivation, checker: TypeChecker
+) -> list[Derivation]:
+    if _non_column(a) & _non_column(b):
+        return []
+    a_open = bool(holes_of(a.expr))
+    b_open = bool(holes_of(b.expr))
+    produced: list[Derivation] = []
+    if a_open and not b_open:
+        produced += comb_all(a, b, checker)
+    elif b_open and not a_open:
+        produced += comb_all(b, a, checker)
+    elif not a_open:
+        merged = and_merge(a, b, checker) or and_merge(b, a, checker)
+        if merged is not None:
+            produced.append(merged)
+    return produced
+
+
+def synthesize(
+    pool: list[Derivation],
+    left: list[Derivation],
+    right: list[Derivation],
+    checker: TypeChecker,
+    max_new: int = 96,
+    max_rounds: int = 4,
+) -> list[Derivation]:
+    """The semi-naive closure with every pair combined (no budget)."""
+    known: set[tuple] = {d.key() for d in pool}
+    everything: list[Derivation] = list(pool)
+    created: list[Derivation] = []
+
+    def absorb(items: list[Derivation], sink: list[Derivation]) -> None:
+        for item in items:
+            if len(created) + len(sink) >= max_new:
+                return
+            key = item.key()
+            if key not in known:
+                known.add(key)
+                sink.append(item)
+
+    frontier: list[Derivation] = []
+    for a in left:
+        if len(created) + len(frontier) >= max_new:
+            break
+        for b in right:
+            if a.key() == b.key():
+                continue
+            absorb(combine_pair(a, b, checker), frontier)
+            if len(created) + len(frontier) >= max_new:
+                break
+    created.extend(frontier)
+    everything.extend(frontier)
+
+    for _ in range(max_rounds - 1):
+        if not frontier or len(created) >= max_new:
+            break
+        new_round: list[Derivation] = []
+        for d in frontier:
+            for other in everything:
+                absorb(combine_pair(d, other, checker), new_round)
+                if len(created) + len(new_round) >= max_new:
+                    break
+            if len(created) + len(new_round) >= max_new:
+                break
+        created.extend(new_round)
+        everything.extend(new_round)
+        frontier = new_round
+    return created
+
+
+def prod_score(d: Derivation) -> float:
+    """ProdSc by a full recursive walk: every node score and every child's
+    (sum, count) recomputed from the tree, nothing read from storage."""
+
+    def node(x: Derivation) -> float:
+        if x.kind == ATOM:
+            return x.rule_score
+        if x.rule_children:
+            r = sum(
+                (x.rule_score + c.rule_score) / 2 for c in x.rule_children
+            ) / len(x.rule_children)
+        else:
+            r = x.rule_score
+        s = 1.0
+        for c in x.synth_children:
+            s *= score(c)
+        return r * s
+
+    def parts(x: Derivation) -> tuple[float, int]:
+        if x.kind == ATOM:
+            return (0.0, 0)
+        total, count = node(x), 1
+        for c in x.rule_children + x.synth_children:
+            t, n = parts(c)
+            total += t
+            count += n
+        return (total, count)
+
+    def score(x: Derivation) -> float:
+        total, count = parts(x)
+        return total / count if count else x.rule_score
+
+    return score(d)
