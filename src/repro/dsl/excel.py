@@ -110,19 +110,33 @@ class ExcelEmitter:
         table = self._source_table(e.source)
         out = _column_range(table, _name(e.out))
         key = _column_range(table, _name(e.key))
-        needle = self._value(e.needle)
+        if _is_text(e.needle):
+            # MATCH(..., 0) reads wildcards in a text needle.
+            needle = _string(_literal_pattern(e.needle.value.payload))
+        else:
+            needle = self._value(e.needle)
         return f"INDEX({out}, MATCH({needle}, {key}, 0))"
 
     # -- filters ----------------------------------------------------------------
 
     def _criterion(self, op: ast.RelOp, rhs: ast.Expr) -> str:
         """A SUMIFS-style criterion: ``"barista"``, ``"<20"``, or a computed
-        one like ``">"&AVERAGE(...)``."""
+        one like ``">"&AVERAGE(...)``.  A text value must match itself
+        only: its wildcards are escaped, and one that starts like an
+        operator (``<``, ``>``, ``=``) is written after an explicit ``=``."""
+        if op is ast.RelOp.EQ and _is_text(rhs):
+            text = _literal_pattern(rhs.value.payload)
+            if text[:1] in ("<", ">", "="):
+                text = "=" + text
+            return _string(text)
         rendered = self._value(rhs)
         if op is ast.RelOp.EQ:
             return rendered
         if isinstance(rhs, ast.Lit):
-            return f'"{op.symbol}{rendered}"'
+            value = rhs.value
+            if value.type is ValueType.TEXT or value.type is ValueType.DATE:
+                rendered = str(value.payload)
+            return _string(f"{op.symbol}{rendered}")
         if isinstance(rhs, ast.CellRef):
             return f'"{op.symbol}"&{rendered}'
         return f'"{op.symbol}"&({rendered})'
@@ -251,9 +265,24 @@ def _column_range(table: Table, column: str) -> str:
     return f"{first}:{last}"
 
 
+def _is_text(e: ast.Expr) -> bool:
+    return isinstance(e, ast.Lit) and e.value.type is ValueType.TEXT
+
+
+def _string(text: str) -> str:
+    """An Excel string literal: quoted, with every quote doubled."""
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _literal_pattern(text: str) -> str:
+    """A criterion or ``MATCH`` pattern that matches ``text`` itself:
+    ``~``, ``*`` and ``?`` escaped with ``~``."""
+    return text.replace("~", "~~").replace("*", "~*").replace("?", "~?")
+
+
 def _literal(v: CellValue) -> str:
     if v.type is ValueType.TEXT or v.type is ValueType.DATE:
-        return f'"{v.payload}"'
+        return _string(str(v.payload))
     if v.type is ValueType.BOOL:
         return "TRUE" if v.payload else "FALSE"
     if v.type is ValueType.CURRENCY:

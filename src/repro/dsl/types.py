@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from ..errors import DslTypeError, UnknownColumnError, UnknownTableError
+from ..sheet.cell import current_revision
 from ..sheet.columnar import columnar_enabled
 from ..sheet.values import ValueType
 from ..sheet.workbook import Workbook
@@ -103,6 +104,24 @@ class TypeChecker:
         # lifetime with the Valid verdicts they depend on.  Kept with the
         # hot path on or off.
         self.substitutions: dict[tuple, ast.Expr | None] = {}
+        # The full sheet revision when a CellRef was first typed since the
+        # memos were last cleared (None: none was).  Every other judgment
+        # reads table structure and content only, which outlive a checker
+        # (its owner is rebuilt when the table revision moves).
+        self._cell_revision: int | None = None
+
+    def refresh(self) -> None:
+        """Clear every memo when one may hold a CellRef's type and the
+        sheet has changed since that cell was read.  Call it once per
+        translation or run, not per judgment: it reads a locked counter."""
+        seen = self._cell_revision
+        if seen is not None and seen != current_revision():
+            for memo in (
+                self._cache, self._fail_cache, self._valid_cache,
+                self._program_cache, self.substitutions,
+            ):
+                memo.clear()
+            self._cell_revision = None
 
     # -- public API --------------------------------------------------------
 
@@ -233,6 +252,10 @@ class TypeChecker:
         return scope if scope is not None else self._default_table_key()
 
     def _cell_ref(self, e: ast.CellRef) -> DslType:
+        if self._cell_revision is None:
+            # Captured before the read: a write in between leaves the
+            # memos conservatively stale for ``refresh``, never fresh.
+            self._cell_revision = current_revision()
         value = self.workbook.get_value(e.a1)
         if value.is_empty:
             # Cell refs to not-yet-filled cells default to NUMBER, the

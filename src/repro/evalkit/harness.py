@@ -858,7 +858,6 @@ class LargeSheetReport:
     mean_ms: float = 0.0
     answered: int = 0
     columnar: bool = True
-    numpy: bool = False
     distinct_values: int = 0
     text_cells: int = 0
 
@@ -883,7 +882,6 @@ def run_largesheet(
 
     report = LargeSheetReport(rows=rows)
     report.columnar = columnar.columnar_enabled()
-    report.numpy = columnar.HAVE_NUMPY
 
     start = perf()
     workbook = stress_workbook(rows, seed=DEFAULT_STRESS_SEED if seed is None else seed)
@@ -917,8 +915,7 @@ def run_largesheet(
 def format_largesheet(report: LargeSheetReport) -> str:
     mode = "columnar" if report.columnar else "row-backed (REPRO_NO_COLUMNAR)"
     lines = [
-        f"{report.rows} rows / {report.n} cold requests / {mode}"
-        + (", numpy" if report.columnar and report.numpy else ""),
+        f"{report.rows} rows / {report.n} cold requests / {mode}",
         f"workbook build {report.build_seconds:>6.2f}s   "
         f"first request {report.first_ms:>8.1f}ms (includes index build)",
         f"per request: median {report.median_ms:>7.1f}ms   "

@@ -32,6 +32,7 @@ from ..obs.clock import perf
 from ..obs.log import get_logger
 from ..obs.trace import NULL_TRACER
 from ..sheet import Workbook
+from ..sheet.cell import table_revision
 from ..translate import Candidate, Translator, TranslatorConfig
 from ..translate.rules import RuleSet
 from .budget import Budget
@@ -177,7 +178,8 @@ class TranslationService:
         self.cache = cache
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._translators: dict[str, Translator] = {}
+        # tier name -> (table revision it was built at, translator)
+        self._translators: dict[str, tuple[int, Translator]] = {}
         self._translators_lock = threading.Lock()
         # Guards the read-compare-write on _last_fingerprint: two threads
         # translating through one service must not race the mutation
@@ -194,19 +196,28 @@ class TranslationService:
     # -- translators ------------------------------------------------------------
 
     def translator_for(self, tier: Tier) -> Translator:
+        """The tier's translator for the sheet as it is now.
+
+        A translator's sheet context and index read table content only,
+        so it is rebuilt when the table revision has moved since it was
+        built; its type checker clears what it read from other cells
+        itself (``TypeChecker.refresh``)."""
         # Double-checked: the dict read is lock-free on the hot path, and
         # the lock ensures concurrent first calls build one translator per
-        # tier instead of racing on construction.
+        # tier instead of racing on construction.  The revision is read
+        # before building, so a write during the build leaves the entry
+        # stale for the next call, never wrongly fresh.
+        revision = table_revision()
         cached = self._translators.get(tier.name)
-        if cached is None:
+        if cached is None or cached[0] != revision:
             with self._translators_lock:
                 cached = self._translators.get(tier.name)
-                if cached is None:
-                    cached = Translator(
+                if cached is None or cached[0] != revision:
+                    cached = (revision, Translator(
                         self.workbook, rules=self.rules, config=tier.config
-                    )
+                    ))
                     self._translators[tier.name] = cached
-        return cached
+        return cached[1]
 
     @property
     def context(self):

@@ -22,7 +22,7 @@ from ..dsl.excel import ExcelEmitter
 from ..errors import TranslationError
 from ..runtime.service import ServiceResult, TranslationService
 from ..sheet import Workbook
-from ..translate import Candidate, Translator, TranslatorConfig
+from ..translate import Candidate, TranslatorConfig
 from .annotate import WordAnnotation, annotate, render_annotations
 
 MAX_SHOWN = 3
@@ -88,33 +88,24 @@ class NLyzeSession:
     deadline: float | None = None
     tracer: object | None = None  # a repro.obs Tracer, threaded into asks
     steps: list[Step] = field(default_factory=list)
-    _translator: Translator | None = field(default=None, repr=False)
     _service: TranslationService | None = field(default=None, repr=False)
 
     _initial: Workbook | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self._initial = self.workbook.clone()
-        self._refresh_translator()
-
-    def _refresh_translator(self) -> None:
-        """Rebuild the service so the sheet context reflects the current
-        workbook state (values, formats, and selections change per step —
-        the temporal context of §4)."""
-        self._service = TranslationService(
-            self.workbook, config=self.config, deadline=self.deadline,
-            tracer=self.tracer,
-        )
-        self._translator = self._service.translator_for(
-            self._service.tiers[0]
-        )
+        # One service for the session's life: it rebuilds its translators
+        # when table content changes, and their type checkers drop what
+        # they read from cells outside the tables when those change.
+        self._service = TranslationService(self.workbook, config=self.config)
 
     # -- asking ----------------------------------------------------------------
 
     def ask(self, description: str) -> Step:
         """Translate a description into a candidate list (no execution)."""
-        self._refresh_translator()
-        outcome = self._service.translate(description)
+        outcome = self._service.translate(
+            description, tracer=self.tracer, deadline=self.deadline
+        )
         if not outcome.ok and not outcome.candidates:
             raise TranslationError(
                 outcome.error or "translation failed",
@@ -126,10 +117,11 @@ class NLyzeSession:
             if c.score >= CONFIDENCE_THRESHOLD
         ] or candidates[:1]
         emitter = ExcelEmitter(self.workbook)
+        ctx = self._service.context
         views = [
             CandidateView(
                 candidate=c,
-                annotations=annotate(c, self._translator.ctx),
+                annotations=annotate(c, ctx),
                 excel=emitter.emit(c.program),
                 english=paraphrase(c.program),
             )

@@ -143,6 +143,7 @@ class Translator:
         check per row.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
+        self.checker.refresh()
         with tracer.span("translate") as root:
             with tracer.span("translate.tokenize"):
                 tokens = self.prepare_tokens(sentence)

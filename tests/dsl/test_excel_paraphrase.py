@@ -119,6 +119,54 @@ class TestExcel:
         f = emitter.emit(p)
         assert '">"&(AVERAGE(D2:D7))' in f
 
+    # A text value must match only itself: quotes doubled, wildcards
+    # escaped in criteria and MATCH needles, a leading operator character
+    # guarded by an explicit "=".  The array form compares with "=",
+    # which reads no wildcards, so it only doubles quotes.
+    TEXT_VALUES = [
+        # value, criterion, MATCH needle, array-form literal
+        ('say "hi"', '"say ""hi"""', '"say ""hi"""', '"say ""hi"""'),
+        ("a*b", '"a~*b"', '"a~*b"', '"a*b"'),
+        ("x?", '"x~?"', '"x~?"', '"x?"'),
+        ("<20", '"=<20"', '"<20"', '"<20"'),
+    ]
+
+    @pytest.mark.parametrize("value,criterion,needle,literal", TEXT_VALUES)
+    def test_text_value_matches_itself(
+        self, emitter, value, criterion, needle, literal
+    ):
+        total = ast.Reduce(
+            ast.ReduceOp.SUM, col("totalpay"), ast.GetTable(), eq("name", value)
+        )
+        assert emitter.emit(total) == f"=SUMIFS(H2:H7, A2:A7, {criterion})"
+        count = ast.Count(ast.GetTable(), eq("name", value))
+        assert emitter.emit(count) == f"=COUNTIFS(A2:A7, {criterion})"
+        lookup = ast.Lookup(
+            text(value), ast.GetTable(), col("name"), col("totalpay")
+        )
+        assert emitter.emit(lookup) == (
+            f"=INDEX(H2:H7, MATCH({needle}, A2:A7, 0))"
+        )
+        either = ast.Count(
+            ast.GetTable(), ast.Or(eq("name", value), eq("title", "chef"))
+        )
+        assert emitter.emit(either) == (
+            f'=SUMPRODUCT(1*(((A2:A7={literal})+(C2:C7="chef"))>0))'
+        )
+
+    def test_date_criterion_is_one_string(self):
+        from repro.sheet import Table, ValueType, Workbook
+
+        wb = Workbook()
+        wb.add_table(Table.from_data(
+            "Days", ["day"], [["2014-01-01"], ["2014-02-01"]],
+            types=[ValueType.DATE],
+        ))
+        before = ast.Count(ast.GetTable(), ast.Compare(
+            ast.RelOp.LT, col("day"), ast.Lit(CellValue.date("2014-01-15"))
+        ))
+        assert ExcelEmitter(wb).emit(before) == '=COUNTIFS(A2:A3, "<2014-01-15")'
+
     def test_select_renders_action(self, emitter):
         p = ast.MakeActive(ast.SelectRows(ast.GetTable(), eq("title", "chef")))
         assert emitter.emit(p).startswith("[select rows of Employees")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dsl import ast
 from repro.runtime import (
     Budget,
     FaultPlan,
@@ -13,6 +14,7 @@ from repro.runtime import (
     degradation_ladder,
 )
 from repro.runtime.faults import clear
+from repro.sheet import CellValue, ValueType
 from repro.translate import Translator, TranslatorConfig
 
 from ..conftest import make_payroll
@@ -190,6 +192,48 @@ class TestDeadlines:
         assert result.attempts[0].exhausted
 
 
+class TestSheetChanges:
+    """One service answers for the sheet as it is now, not as it was when
+    the service first translated against it."""
+
+    def test_table_write_reaches_the_same_service(self):
+        """Fig. 1: once every barista is a chef, "the baristas" names no
+        value, and the filter goes as it does for a fresh service."""
+        workbook = make_payroll()
+        service = TranslationService(workbook)
+        sentence = "sum the totalpay for the baristas"
+        before = service.translate(sentence).top.program
+        assert str(before) == "Sum(totalpay, GetTable(), Eq(title, barista))"
+        table = workbook.default_table
+        j = table.column_index("title")
+        for i in range(table.n_rows):
+            if table.cell(i, j).value.payload.strip().lower() == "barista":
+                workbook.set_value(
+                    table.address_of(i, j), CellValue.text("chef")
+                )
+        after = service.translate(sentence).top.program
+        assert str(after) == "Sum(totalpay, GetTable(), True)"
+        assert after == TranslationService(workbook).translate(sentence).top.program
+
+    def test_scratch_write_retypes_a_cell_reference(self):
+        """K2 is blank, so it types as a NUMBER and cannot be ordered
+        against the currency column; once K2 holds a currency the same
+        service must see the comparison a fresh service sees."""
+        workbook = make_payroll()
+        service = TranslationService(workbook)
+        sentence = "sum the totalpay where the totalpay is more than K2"
+        checker = service.translator_for(service.tiers[0]).checker
+        before = service.translate(sentence).top.program
+        assert checker.type_of(ast.CellRef("K2")).elem is ValueType.NUMBER
+        assert "K2" not in str(before)
+        workbook.set_value("K2", CellValue.currency(300))
+        after = service.translate(sentence).top.program
+        assert service.translator_for(service.tiers[0]).checker is checker
+        assert checker.type_of(ast.CellRef("K2")).elem is ValueType.CURRENCY
+        assert str(after) == "Sum(totalpay, GetTable(), Gt(totalpay, K2))"
+        assert after == TranslationService(workbook).translate(sentence).top.program
+
+
 class TestSessionAndEvalkitWiring:
     def test_session_reports_diagnostics(self):
         from repro.session import NLyzeSession
@@ -204,14 +248,9 @@ class TestSessionAndEvalkitWiring:
         from repro.session import NLyzeSession
 
         session = NLyzeSession(make_payroll())
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                session, "_refresh_translator", lambda: None
-            )  # keep the armed service
-            session._service.faults = FaultPlan(
-                [FaultSpec("synthesis", "raise")]
-            )
-            step = session.ask(RUNNING_EXAMPLE)
+        # The session keeps its service for life, so arming it arms asks.
+        session._service.faults = FaultPlan([FaultSpec("synthesis", "raise")])
+        step = session.ask(RUNNING_EXAMPLE)
         assert step.diagnostics.degraded
         assert step.diagnostics.tier == "rules_only"
 

@@ -21,7 +21,7 @@ from repro.obs import Tracer
 from repro.serve import TranslationGateway
 
 from ..conftest import make_payroll
-from .waiters import wait_until
+from .waiters import wait_dispatched
 
 SENTENCE = "sum the totalpay where the location is capitol hill"
 
@@ -123,7 +123,9 @@ def test_sigkilled_worker_still_yields_complete_tree():
     )
     try:
         pending = gateway.submit(SENTENCE, faults="tokenize:delay:30.0")
-        wait_until(lambda: gateway.stats().in_flight == 1, timeout=30.0)
+        # In flight is counted when the request leaves the queue, before
+        # the lazily spawned worker exists; kill only once it is live.
+        wait_dispatched(gateway, timeout=30.0)
         assert gateway.kill_worker(0)
         result = pending.result(60.0)
         assert not result.ok

@@ -65,7 +65,7 @@ class TestAnnotations:
         top = step.views[0].candidate
         roles = {
             a.token.text: a.role
-            for a in annotate(top, session._translator.ctx)
+            for a in annotate(top, session._service.context)
         }
         assert roles["othours"] is WordRole.COLUMN
         assert roles["1"] is WordRole.LITERAL
