@@ -15,7 +15,7 @@ This is the spreadsheet state a DSL program reads and updates (paper §2):
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from ..errors import SheetError, UnknownTableError
 from .address import CellAddress
@@ -30,6 +30,9 @@ from .cell import (
 from .columnar import ColumnarIndex, columnar_enabled
 from .table import Table
 from .values import CellValue
+from .vectors import Magnitudes, TextIds
+
+Vector = TypeVar("Vector", Magnitudes, TextIds)
 
 
 class Workbook:
@@ -46,6 +49,8 @@ class Workbook:
         self._columnar_revision: int = -1
         self._text_values: dict[str, list[tuple[str, str]]] | None = None
         self._text_values_revision: int = -1
+        self._vectors: dict[tuple, Magnitudes | TextIds] = {}
+        self._vectors_revision: int = -1
 
     def __getstate__(self) -> dict:
         """Pickle without the revision-keyed memos.  Revision counters
@@ -57,6 +62,7 @@ class Workbook:
             _fp_digest=None, _fp_revision=-1,
             _columnar=None, _columnar_revision=-1,
             _text_values=None, _text_values_revision=-1,
+            _vectors={}, _vectors_revision=-1,
         )
         return state
 
@@ -352,6 +358,23 @@ class Workbook:
         self._columnar = index
         self._columnar_revision = revision
         return index
+
+    def column_vector(
+        self, table: Table, j: int, layout: type[Vector]
+    ) -> Vector:
+        """Column ``j`` of ``table`` (one of this workbook's) in ``layout``
+        (:mod:`repro.sheet.vectors`), built on first use and kept until
+        the table revision moves, like :meth:`columnar_index`; only the
+        column asked for is read."""
+        revision = table_revision()
+        if self._vectors_revision != revision:
+            self._vectors = {}
+            self._vectors_revision = revision
+        key = (table.name.strip().lower(), j, layout)
+        vector = self._vectors.get(key)
+        if vector is None:
+            vector = self._vectors[key] = layout(table.cell_rows, j)
+        return vector
 
     def all_text_values(self) -> dict[str, list[tuple[str, str]]]:
         """lowercase text value -> [(table name, column name)] everywhere it

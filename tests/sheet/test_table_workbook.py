@@ -13,6 +13,7 @@ from repro.sheet import (
     ValueType,
     Workbook,
 )
+from repro.sheet.vectors import CELL, HELD, Magnitudes
 
 
 class TestTableConstruction:
@@ -185,6 +186,21 @@ class TestWorkbook:
         values = payroll.all_text_values()
         assert ("Employees", "title") in values["chef"]
         assert ("PayRates", "title") in values["chef"]
+
+    def test_column_vectors_follow_the_table_revision(self, payroll):
+        """Built once per column: a scratch write keeps a vector, a
+        table-cell write rebuilds it from the cells."""
+        emp = payroll.table("Employees")
+        j = emp.column_index("hours")
+        hours = payroll.column_vector(emp, j, Magnitudes)
+        assert payroll.column_vector(emp, j, Magnitudes) is hours
+        payroll.set_value("Z9", CellValue.number(7))
+        assert payroll.column_vector(emp, j, Magnitudes) is hours
+        payroll.set_value(emp.address_of(0, j), CellValue.text("x"))
+        fresh = payroll.column_vector(emp, j, Magnitudes)
+        assert fresh is not hours
+        assert (fresh.tags[0], hours.tags[0]) == (CELL, HELD)
+        assert fresh.nums[1:] == hours.nums[1:]
 
     def test_cursor_required(self):
         wb = Workbook()
