@@ -277,7 +277,7 @@ class Evaluator:
             return self._eval_scalar_binop(e, scope)
         if isinstance(e, ast.Lookup):
             needle = self.eval_scalar(e.needle, scope)
-            return self._lookup_one(e, needle)
+            return self._lookup(e, [needle])[0]
         raise EvaluationError(f"not a scalar expression: {e}")
 
     def _eval_reduce(self, e: ast.Reduce) -> CellValue:
@@ -316,18 +316,52 @@ class Evaluator:
         elem = _unit_result(e.op, left.type, right.type)
         return _apply_binop(e.op, left, right, elem)
 
-    def _lookup_one(self, e: ast.Lookup, needle: CellValue) -> CellValue:
+    def _lookup(
+        self, e: ast.Lookup, needles: list[CellValue]
+    ) -> list[CellValue]:
+        """For each needle, the ``out`` value of the first source row whose
+        non-empty ``key`` value ``equals`` it.
+
+        The source and both columns are read once per call, and the keys
+        are mapped to their first row by :func:`_lookup_slot`.  A needle
+        with no slot, or a numeric needle when some numeric key has none,
+        walks the rows instead, so it raises what ``equals`` raises there.
+        """
+        if not needles:
+            return []
         table, rows = self.eval_row_source(e.source)
         key = table.column(_column_name(e.key)).name
         out = table.column(_column_name(e.out)).name
-        key_values = table.column_values(key, rows)
-        out_values = table.column_values(out, rows)
-        for k, v in zip(key_values, out_values):
-            if not k.is_empty and k.equals(needle):
-                return v
-        raise EvaluationError(
-            f"lookup failed: no row with {key} = {needle.display()}"
-        )
+        pairs = [
+            (k, v)
+            for k, v in zip(
+                table.column_values(key, rows), table.column_values(out, rows)
+            )
+            if not k.is_empty
+        ]
+        first_row: dict[object, CellValue] = {}
+        numbers_held = True
+        for k, v in pairs:
+            slot = _lookup_slot(k)
+            if slot is None:
+                numbers_held = False
+            elif slot not in first_row:
+                first_row[slot] = v
+        found: list[CellValue] = []
+        for needle in needles:
+            slot = _lookup_slot(needle)
+            if slot is not None and (numbers_held or not needle.is_numeric):
+                value = first_row.get(slot)
+            else:
+                value = next(
+                    (v for k, v in pairs if k.equals(needle)), None
+                )
+            if value is None:
+                raise EvaluationError(
+                    f"lookup failed: no row with {key} = {needle.display()}"
+                )
+            found.append(value)
+        return found
 
     # -- vectors --------------------------------------------------------------
 
@@ -336,8 +370,7 @@ class Evaluator:
             table = self._table(e.table) if e.table else self._table(scope)
             return table.column_values(e.name)
         if isinstance(e, ast.Lookup):
-            needles = self.eval_vector(e.needle, scope)
-            return [self._lookup_one(e, n) for n in needles]
+            return self._lookup(e, self.eval_vector(e.needle, scope))
         if isinstance(e, ast.BinOp):
             return self._eval_vector_binop(e, scope)
         raise EvaluationError(f"not a vector expression: {e}")
@@ -440,6 +473,23 @@ def _relate(op: ast.RelOp, left: CellValue, right: CellValue) -> bool:
     if op is ast.RelOp.LT:
         return left.less_than(right)
     return right.less_than(left)
+
+
+def _lookup_slot(value: CellValue) -> object:
+    """A dict key under which two values meet exactly when
+    ``CellValue.equals`` holds between them: numbers and currencies by
+    magnitude, text by its stripped lower-cased form, any other type by
+    (type, payload).  ``None`` for a numeric payload with no float (beyond
+    the float range) or a NaN, which equals nothing."""
+    if value.is_numeric:
+        try:
+            number = float(value.payload)
+        except OverflowError:
+            return None
+        return None if number != number else number
+    if value.type is ValueType.TEXT:
+        return (ValueType.TEXT, value.payload.strip().lower())
+    return (value.type, value.payload)
 
 
 def _column_name(e: ast.Expr) -> str:

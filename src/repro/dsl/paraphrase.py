@@ -84,7 +84,7 @@ def _filter(f: ast.Expr) -> str:
     if isinstance(f, ast.Not):
         inner = f.operand
         if isinstance(inner, ast.Compare) and inner.op is ast.RelOp.EQ:
-            return f"{_value(inner.left)} ≠ {_value(inner.right)}"
+            return f"{_value(inner.left)} is not {_value(inner.right)}"
         return f"not ({_filter(inner)})"
     if isinstance(f, ast.Compare):
         return f"{_value(f.left)} {_RELOP_PHRASE[f.op]} {_value(f.right)}"

@@ -20,9 +20,9 @@ instead of per-probe scans over ``dict``-of-rows.
 
 ``REPRO_NO_COLUMNAR=1`` is the escape hatch, mirroring ``REPRO_NO_INTERN``
 (:mod:`repro.dsl.ast`): it restores the row-backed lookups *and* every
-optimisation gated on this switch downstream (template interning, the
-compiled-alignment table, the cached builtin rule set).  The differential
-harness proves both modes byte-identical.
+optimisation gated on this switch downstream (template interning and the
+cached builtin rule set; alignment has one path whatever it says).  The
+differential harness proves both modes byte-identical.
 
 The index is pure derived state: building it never mutates the workbook,
 and :meth:`repro.sheet.workbook.Workbook.columnar_index` memoises it

@@ -10,21 +10,44 @@ Ranges are half-open ``(l, u)`` over fragment-relative positions.
 Compiled templates
 ------------------
 
-``align`` runs per (rule, span) in the DP inner loop — the suffix-width
-table it needs is a pure function of the template, yet the original code
-rebuilt it on every call.  :func:`compile_template` builds that automaton
-once per *structural* template and interns it in a cross-request table
-(keyed like ``repro.dsl.ast.intern``): because ``parse_template`` interns
-template tuples too, every translator, forked gateway worker (via fork
+:func:`compile_template` builds a template's search automaton (the
+suffix-width table that prunes the backtracking search, and the
+``MustPat`` option sets ``quick_reject`` tests) once per *structural*
+template and interns it in a cross-request table (keyed like
+``repro.dsl.ast.intern``): because ``parse_template`` interns template
+tuples too, every translator, forked gateway worker (via fork
 copy-on-write), and learned rule pack sharing a template shares one
-compiled form.  ``REPRO_NO_COLUMNAR=1`` disables the compiled path and
-restores the rebuild-per-call baseline unchanged.
+compiled form.
+
+The alignment chart
+-------------------
+
+The DP asks for the alignments of every live rule over every span
+``[i, j)`` of a sentence.  A backtracking search from ``i`` out to some
+limit passes through every shorter fragment that starts at ``i``, so
+:class:`AlignmentChart` runs one search per (template, start) and files
+each complete alignment under the position where it ends.
+
+The chart is exact.  For a smaller ``limit``, every pattern's
+``ends(tokens, pos, limit, ctx)`` yields exactly the subsequence of its
+larger-limit output that is ``<= limit``, in the same order (``MustPat``
+skips an option past the limit before its dedup, ``OptPat``'s ends rise
+and stop at the limit, and the single-token and range patterns cut their
+range at the limit).  Positions only grow along a search path, so the
+search over ``[i, j)`` alone is the chart's search restricted to the
+paths that stay ``<= j``, visited in the same order; ``min_suffix`` only
+prunes branches that cannot complete.  Keeping the first ``cap``
+alignments per end therefore keeps exactly what the per-fragment search
+returns.
+
+A search out to the sentence end would also align spans the DP never
+reaches when a budget stops it early, so a chart searches ``horizon``
+tokens past each start and doubles the horizon (re-searching that start)
+when a wider span asks.
 """
 
 from __future__ import annotations
 
-from ..dsl.ast import hotpath_enabled
-from ..sheet.columnar import columnar_enabled
 from .context import SheetContext
 from .patterns import MustPat, OptPat, Pattern
 from .tokenizer import Token
@@ -44,8 +67,7 @@ class CompiledTemplate:
     """A template plus everything alignment derives from it.
 
     * ``min_suffix[i]`` — the minimum token width patterns ``i..`` must
-      still tile (prunes the backtracking search); computed once here
-      instead of per ``align`` call;
+      still tile (prunes the backtracking search);
     * ``must_option_sets`` — the MustPats' per-option word frozensets, laid
       out flat so ``quick_reject`` is a loop over precollected sets with no
       per-call isinstance scan.
@@ -64,47 +86,46 @@ class CompiledTemplate:
             p.option_sets for p in template if isinstance(p, MustPat)
         )
 
-    def align(
-        self, tokens: list[Token], ctx: SheetContext, cap: int = 16
-    ) -> list[Alignment]:
-        """Identical search (and result order) to the baseline ``align``,
-        minus the per-call suffix-table rebuild."""
-        n = len(tokens)
+    def search(
+        self,
+        tokens: list[Token],
+        start: int,
+        limit: int,
+        ctx: SheetContext,
+        cap: int,
+    ) -> list[list[Alignment]]:
+        """The alignments of every fragment ``tokens[start:end]`` with
+        ``end <= limit``: ``row[end - start]`` holds the first ``cap`` of
+        them, ranges relative to ``start``, in the order a search over that
+        fragment alone yields them."""
         template = self.template
         size = self.size
         min_suffix = self.min_suffix
-        if min_suffix[0] > n:
-            return []
-
-        results: list[Alignment] = []
+        row: list[list[Alignment]] = [[] for _ in range(limit - start + 1)]
+        if start + min_suffix[0] > limit:
+            return row
         ranges: list[tuple[int, int]] = []
 
         def recurse(pattern_index: int, pos: int) -> None:
-            if len(results) >= cap:
-                return
             if pattern_index == size:
-                if pos == n:
-                    results.append(tuple(ranges))
+                bucket = row[pos - start]
+                if len(bucket) < cap:
+                    bucket.append(tuple(ranges))
                 return
-            if pos + min_suffix[pattern_index] > n:
-                return
-            pattern = template[pattern_index]
             next_suffix = min_suffix[pattern_index + 1]
-            for end in pattern.ends(tokens, pos, n, ctx):
-                if end + next_suffix > n:
+            for end in template[pattern_index].ends(tokens, pos, limit, ctx):
+                if end + next_suffix > limit:
                     continue
-                ranges.append((pos, end))
+                ranges.append((pos - start, end - start))
                 recurse(pattern_index + 1, end)
                 ranges.pop()
-                if len(results) >= cap:
-                    return
 
-        recurse(0, 0)
-        return results
+        recurse(0, start)
+        return row
 
     def quick_reject(self, fragment_words: frozenset[str]) -> bool:
-        """Compiled form of :func:`quick_reject` over the flat option-set
-        layout; same answer by construction."""
+        """True when some MustPat has no option whose words all occur in
+        the fragment: such a template cannot align with it."""
         for option_sets in self.must_option_sets:
             for option_set in option_sets:
                 if option_set <= fragment_words:
@@ -138,6 +159,49 @@ def compile_template(template: tuple[Pattern, ...]) -> CompiledTemplate:
     return compiled
 
 
+class AlignmentChart:
+    """The alignments of one sentence's fragments, searched once per
+    (compiled template, start) and answered per span.
+
+    A chart belongs to one translation of one sentence: it holds no lock,
+    so it must not be shared between threads.
+    """
+
+    __slots__ = ("tokens", "ctx", "cap", "horizon", "_rows")
+
+    def __init__(
+        self,
+        tokens: list[Token],
+        ctx: SheetContext,
+        cap: int = 16,
+        horizon: int = 16,
+    ) -> None:
+        self.tokens = tokens
+        self.ctx = ctx
+        self.cap = cap
+        self.horizon = max(1, horizon)
+        # (template, start) -> (limit searched to, row of per-end buckets)
+        self._rows: dict[tuple, tuple[int, list[list[Alignment]]]] = {}
+
+    def alignments(
+        self, compiled: CompiledTemplate, start: int, end: int
+    ) -> list[Alignment]:
+        """The first ``cap`` alignments of the template over
+        ``tokens[start:end]``, ranges relative to ``start``."""
+        key = (compiled, start)
+        entry = self._rows.get(key)
+        if entry is None or end > entry[0]:
+            while end - start > self.horizon:
+                self.horizon *= 2
+            limit = min(len(self.tokens), start + self.horizon)
+            entry = (
+                limit,
+                compiled.search(self.tokens, start, limit, self.ctx, self.cap),
+            )
+            self._rows[key] = entry
+        return entry[1][end - start]
+
+
 def align(
     template: tuple[Pattern, ...],
     tokens: list[Token],
@@ -145,70 +209,14 @@ def align(
     cap: int = 16,
 ) -> list[Alignment]:
     """All (up to ``cap``) alignments of ``template`` over ``tokens``."""
-    if columnar_enabled():
-        return compile_template(template).align(tokens, ctx, cap)
     n = len(tokens)
-    min_suffix = [0] * (len(template) + 1)
-    for i in range(len(template) - 1, -1, -1):
-        min_suffix[i] = min_suffix[i + 1] + _min_width(template[i])
-    if min_suffix[0] > n:
-        return []
-
-    results: list[Alignment] = []
-    ranges: list[tuple[int, int]] = []
-
-    def recurse(pattern_index: int, pos: int) -> None:
-        if len(results) >= cap:
-            return
-        if pattern_index == len(template):
-            if pos == n:
-                results.append(tuple(ranges))
-            return
-        # Remaining patterns must still be able to tile the rest.
-        if pos + min_suffix[pattern_index] > n:
-            return
-        pattern = template[pattern_index]
-        for end in pattern.ends(tokens, pos, n, ctx):
-            if end + min_suffix[pattern_index + 1] > n:
-                continue
-            ranges.append((pos, end))
-            recurse(pattern_index + 1, end)
-            ranges.pop()
-            if len(results) >= cap:
-                return
-
-    recurse(0, 0)
-    return results
+    chart = AlignmentChart(tokens, ctx, cap, horizon=n)
+    return list(chart.alignments(compile_template(template), 0, n))
 
 
 def quick_reject(
     template: tuple[Pattern, ...], fragment_words: frozenset[str]
 ) -> bool:
     """Cheap pre-check: a MustPat whose options all need words absent from
-    the fragment can never align (saves the backtracking search).
-
-    The compiled path (columnar layer enabled) loops over the template's
-    precollected option sets; the hot path tests each option's precomputed
-    word set against the fragment with one C-level subset check; the legacy
-    path (kept for the ``REPRO_NO_INTERN`` baseline) walks the words
-    through generators.
-    """
-    if columnar_enabled():
-        return compile_template(template).quick_reject(fragment_words)
-    if hotpath_enabled():
-        for pattern in template:
-            if isinstance(pattern, MustPat):
-                for option_set in pattern.option_sets:
-                    if option_set <= fragment_words:
-                        break
-                else:
-                    return True
-        return False
-    for pattern in template:
-        if isinstance(pattern, MustPat):
-            if not any(
-                all(word in fragment_words for word in option)
-                for option in pattern.options
-            ):
-                return True
-    return False
+    the fragment can never align (saves the backtracking search)."""
+    return compile_template(template).quick_reject(fragment_words)

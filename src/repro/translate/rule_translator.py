@@ -23,8 +23,7 @@ from ..dsl.types import TypeChecker
 from ..runtime.budget import Budget
 from ..runtime.faults import fault_point
 from ..sheet import CellValue
-from ..sheet.columnar import columnar_enabled
-from .alignment import CompiledTemplate, align, compile_template, quick_reject
+from .alignment import AlignmentChart, CompiledTemplate, compile_template
 from .context import SheetContext
 from .derivation import RULE, Derivation
 from .patterns import MustPat, OptPat
@@ -58,12 +57,15 @@ class RuleTranslator:
         # translator constructions — and forked workers — share them.
         # Keyed by rule identity (``self.rules`` keeps them alive); probes
         # in the DP inner loop are int-keyed dict hits, not tuple hashes.
-        self._compiled: dict[int, CompiledTemplate] = {}
-        if columnar_enabled():
-            for rule in rules:
-                self._compiled[id(rule)] = compile_template(rule.template)
+        self._compiled: dict[int, CompiledTemplate] = {
+            id(rule): compile_template(rule.template) for rule in rules
+        }
 
     # -- entry point ----------------------------------------------------------
+
+    def chart(self, tokens: list[Token]) -> AlignmentChart:
+        """A fresh alignment chart for one translation of ``tokens``."""
+        return AlignmentChart(tokens, self.ctx, self.max_alignments)
 
     def sentence_rules(self, tokens: list[Token]) -> list[Rule]:
         """The rules that can possibly align with *some* fragment of the
@@ -76,16 +78,17 @@ class RuleTranslator:
         """
         words = frozenset(t.text for t in tokens)
         return [
-            r for r in self.rules if not self._quick_reject(r, words)
+            r for r in self.rules
+            if not self._compiled_for(r).quick_reject(words)
         ]
 
-    def _quick_reject(self, rule: Rule, words: frozenset[str]) -> bool:
-        compiled = (
-            self._compiled.get(id(rule)) if columnar_enabled() else None
-        )
-        if compiled is not None:
-            return compiled.quick_reject(words)
-        return quick_reject(rule.template, words)
+    def _compiled_for(self, rule: Rule) -> CompiledTemplate:
+        compiled = self._compiled.get(id(rule))
+        if compiled is None:  # a rule added to the set after construction
+            compiled = self._compiled[id(rule)] = compile_template(
+                rule.template
+            )
+        return compiled
 
     def translate_span(
         self,
@@ -95,41 +98,35 @@ class RuleTranslator:
         tmap: SpanMap,
         budget: Budget | None = None,
         rules: list[Rule] | None = None,
+        chart: AlignmentChart | None = None,
     ) -> list[Derivation]:
         """All rule-derived derivations for ``tokens[start:end]``.
 
         ``rules`` (optional) restricts the scan to a precomputed live set
         (see :meth:`sentence_rules`); the default scans the full rule set.
+        ``chart`` (optional, from :meth:`chart` over the same ``tokens``)
+        shares alignment searches between the spans of one translation;
+        without it only this span is aligned.
         A tripped ``budget`` stops the rule loop between rules; the
         derivations produced so far are returned so the anytime path can
         still rank them.
         """
         fault_point("rules")
+        if chart is None:
+            chart = AlignmentChart(
+                tokens, self.ctx, self.max_alignments, horizon=end - start
+            )
         fragment = tokens[start:end]
         fragment_words = frozenset(t.text for t in fragment)
         out: list[Derivation] = []
-        compiled_for = self._compiled if columnar_enabled() else None
+        compiled_by_id = self._compiled
         for rule in self.rules if rules is None else rules:
             if budget is not None and budget.exceeded("rules"):
                 break
-            compiled = (
-                compiled_for.get(id(rule)) if compiled_for is not None
-                else None
-            )
-            if compiled is not None:
-                if compiled.quick_reject(fragment_words):
-                    continue
-                alignments = compiled.align(
-                    fragment, self.ctx, cap=self.max_alignments
-                )
-            else:
-                if quick_reject(rule.template, fragment_words):
-                    continue
-                alignments = align(
-                    rule.template, fragment, self.ctx,
-                    cap=self.max_alignments,
-                )
-            for alignment in alignments:
+            compiled = compiled_by_id.get(id(rule)) or self._compiled_for(rule)
+            if compiled.quick_reject(fragment_words):
+                continue
+            for alignment in chart.alignments(compiled, start, end):
                 produced = self._apply(rule, alignment, fragment, start, tmap)
                 if budget is not None:
                     budget.charge(len(produced))

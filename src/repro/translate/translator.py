@@ -154,6 +154,9 @@ class Translator:
             n = len(tokens)
             root.set(tokens=n)
             tmap: dict[tuple[int, int], list[Derivation]] = {}
+            # Template alignments, searched once per (rule, start) and
+            # shared by every span of this sentence.
+            chart = self.rule_translator.chart(tokens)
             # Rules that can match some fragment of this sentence — the
             # per-span quick-reject scan then only sees plausible rules.
             active_rules = None
@@ -167,7 +170,7 @@ class Translator:
                         budget.checkpoint("span")
                         tmap[(i, j)] = self._translate_span(
                             tokens, i, j, tmap, budget, tracer,
-                            active_rules,
+                            active_rules, chart,
                         )
                     if progress is not None and width < n:
                         # Anytime-improvement hook: the ranking over the
@@ -280,6 +283,7 @@ class Translator:
         budget: Budget | None = None,
         tracer=None,
         active_rules=None,
+        chart=None,
     ) -> list[Derivation]:
         if budget is None:
             budget = Budget()
@@ -314,7 +318,7 @@ class Translator:
                 with tracer.span("translate.rules", i=i, j=j) as span:
                     produced = self.rule_translator.translate_span(
                         tokens, i, j, tmap, budget=budget,
-                        rules=active_rules,
+                        rules=active_rules, chart=chart,
                     )
                     derivations += produced
                     budget.checkpoint("rules")

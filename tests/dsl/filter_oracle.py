@@ -6,12 +6,15 @@ read from the table's cells, the literal way:
 * a filter walks its AST on every row, and evaluates a scalar operand
   every time a row needs it, so a nested reduction inside a filter costs
   one evaluation per row;
-* a reduction or count folds the selected cells' payloads.
+* a reduction or count folds the selected cells' payloads;
+* a ``Lookup`` re-reads its source and both columns for every needle and
+  walks the key cells with ``CellValue.equals``.
 
 Production instead compiles each filter once per query into a test on a
 row index, reading text and number columns from their vectors
-(``repro.sheet.vectors``), and folds reductions from those vectors.
-This copy shares none of that code and exists only to check it
+(``repro.sheet.vectors``), folds reductions from those vectors, and maps
+a ``Lookup``'s keys to their first row once per lookup.  This copy
+shares none of that code and exists only to check it
 (``test_compiled_filters.py``).
 """
 
@@ -70,7 +73,28 @@ class RowWalkEvaluator(Evaluator):
             table, rows = self.eval_row_source(e.source)
             matched = self._filter_rows(e.condition, table, rows)
             return CellValue.number(len(matched))
+        if isinstance(e, ast.Lookup):
+            return self._lookup_walk(e, self.eval_scalar(e.needle, scope))
         return super().eval_scalar(e, scope)
+
+    def eval_vector(self, e: ast.Expr, scope: str) -> list[CellValue]:
+        if isinstance(e, ast.Lookup):
+            needles = self.eval_vector(e.needle, scope)
+            return [self._lookup_walk(e, n) for n in needles]
+        return super().eval_vector(e, scope)
+
+    def _lookup_walk(self, e: ast.Lookup, needle: CellValue) -> CellValue:
+        table, rows = self.eval_row_source(e.source)
+        key = table.column(_column_name(e.key)).name
+        out = table.column(_column_name(e.out)).name
+        key_values = table.column_values(key, rows)
+        out_values = table.column_values(out, rows)
+        for k, v in zip(key_values, out_values):
+            if not k.is_empty and k.equals(needle):
+                return v
+        raise EvaluationError(
+            f"lookup failed: no row with {key} = {needle.display()}"
+        )
 
     def _eval_reduce(self, e: ast.Reduce) -> CellValue:
         table, rows = self.eval_row_source(e.source)

@@ -458,3 +458,139 @@ def test_nested_reduction_is_evaluated_once(monkeypatch):
     assert calls == [average]
     mean = sum(value for _, value in rows) / len(rows)
     assert result.rows == [i for i, (_, v) in enumerate(rows) if v > mean]
+
+
+# -- Lookup -------------------------------------------------------------------
+
+# Keys and needles no float-keyed map can hold: a NaN equals nothing, and
+# float() of a number beyond the float range raises while the walk meets it.
+_UNMAPPABLE = [
+    CellValue.number(float("nan")), CellValue.currency(float("nan")),
+    CellValue.number(10 ** 400),
+]
+
+
+def _lookups():
+    """A vector lookup keyed by a column of the default table, or a scalar
+    one keyed by a literal, over any row source and pair of columns (some
+    missing)."""
+    needle = st.one_of(
+        _columns(),
+        st.sampled_from(_LITERALS + _UNMAPPABLE).map(ast.Lit),
+    )
+    return st.builds(ast.Lookup, needle, _sources(), _columns(), _columns())
+
+
+def _looked_up(evaluator, lookup):
+    scope = evaluator._default_key()
+    try:
+        if isinstance(lookup.needle, ast.ColumnRef):
+            values = evaluator.eval_vector(lookup, scope)
+        else:
+            values = [evaluator.eval_scalar(lookup, scope)]
+        return ("values", [(v.type, repr(v.payload)) for v in values])
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return ("error", type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(workbooks(), _lookups(), st.data())
+def test_lookup_agrees_with_row_walk(wb, lookup, data):
+    """Same values, or the same error type and message, including keys
+    and needles that no map can hold."""
+    for name in ("T", "U"):
+        table = wb.table(name)
+        for _ in range(data.draw(st.integers(0, 2)) if table.n_rows else 0):
+            i = data.draw(st.integers(0, table.n_rows - 1))
+            j = data.draw(st.integers(0, 1))
+            wb.set_value(
+                table.address_of(i, j), data.draw(st.sampled_from(_UNMAPPABLE))
+            )
+    assert _looked_up(Evaluator(wb), lookup) == (
+        _looked_up(RowWalkEvaluator(wb), lookup)
+    ), str(lookup)
+
+
+# One key column holding every type, so equal keys repeat (NUMBER and
+# CURRENCY magnitudes, TEXT case and whitespace variants), with the
+# unmappable ones among them.
+_KEY_POOL = [
+    *_NUMERIC, *_CELLS[_T], *_CELLS[_B], *_CELLS[_D], *_UNMAPPABLE,
+    CellValue.empty(),
+]
+
+
+@st.composite
+def _keyed(draw):
+    """A key table K (mixed-type keys, each row's out value its index)
+    and a needle table N whose needles are mostly keys of K, so most
+    lookups hit and the first of several equal keys must win."""
+    keys = draw(st.lists(st.sampled_from(_KEY_POOL), min_size=1, max_size=10))
+    miss = CellValue.text("nobody")
+    needles = draw(st.lists(st.sampled_from([*keys, miss]), max_size=6))
+    wb = Workbook()
+    for name, columns, values in (
+        ("N", [Column("needle", _T)], [[v] for v in needles]),
+        ("K", [Column("key", _T), Column("out", _N)],
+         [[v, CellValue.number(i)] for i, v in enumerate(keys)]),
+    ):
+        table = Table(
+            name, columns,
+            [[CellValue.empty()] * len(columns) for _ in values],
+        )
+        wb.add_table(table)
+        for i, row in enumerate(values):
+            for j, value in enumerate(row):
+                wb.set_value(table.address_of(i, j), value)
+    return wb, needles
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keyed(), st.data())
+def test_lookup_hits_agree_with_row_walk(keyed, data):
+    """The first equal key's row wins, an unmappable key or needle is
+    walked, and a miss raises the walk's error."""
+    wb, needles = keyed
+    columns = [ast.ColumnRef(name) for name in ("key", "out")]
+    vector = ast.Lookup(ast.ColumnRef("needle"), ast.GetTable("K"), *columns)
+    programs = [vector] + [
+        ast.Lookup(ast.Lit(needle), ast.GetTable("K"), *columns)
+        for needle in needles
+    ]
+    for program in programs:
+        assert _looked_up(Evaluator(wb), program) == (
+            _looked_up(RowWalkEvaluator(wb), program)
+        ), str(program)
+
+
+def test_vector_lookup_reads_its_columns_once(monkeypatch):
+    """2,000 needles against a 300-row key table read the key and out
+    columns once, not once per needle."""
+    keys = Table.from_data(
+        "Keys", ["code", "rate"], [[f"k{i}", i] for i in range(300)],
+        types=[_T, _N],
+    )
+    needles = Table.from_data(
+        "Needles", ["code"], [[f"K{(i * 7) % 300} "] for i in range(2000)],
+        types=[_T],
+    )
+    wb = Workbook()
+    wb.add_table(needles)
+    wb.add_table(keys)
+    lookup = ast.Lookup(
+        ast.ColumnRef("code"), ast.GetTable("Keys"), ast.ColumnRef("code"),
+        ast.ColumnRef("rate"),
+    )
+    reads = []
+    column_values = Table.column_values
+
+    def counting(self, name, rows=None):
+        reads.append((self.name, name))
+        return column_values(self, name, rows)
+
+    monkeypatch.setattr(Table, "column_values", counting)
+    values = Evaluator(wb).eval_vector(lookup, "Needles")
+    assert [v.payload for v in values] == [(i * 7) % 300 for i in range(2000)]
+    assert sorted(reads) == [
+        ("Keys", "code"), ("Keys", "rate"), ("Needles", "code")
+    ]

@@ -191,7 +191,7 @@ class TestParaphrase:
 
     def test_count(self):
         p = ast.Count(ast.GetTable(), ast.Not(eq("location", "europe")))
-        assert paraphrase(p) == "count the rows where location ≠ europe"
+        assert paraphrase(p) == "count the rows where location is not europe"
 
     def test_lookup(self):
         p = ast.Lookup(

@@ -385,6 +385,65 @@ class TestThreadSafety:
         assert len(answers) == 18
         assert set(answers) == {RUNNING_ANSWER}
 
+    def test_concurrent_sentences_of_different_lengths(self):
+        # Alignment charts are per translation: a chart leaked between
+        # threads would answer one sentence with another's alignments.
+        # The 18-token sentence also grows its chart's horizon.
+        import sys
+        import threading
+
+        sentences = [
+            "sum the hours",
+            "count the chefs in downtown",
+            "hours plus othours for the cashier",
+            RUNNING_EXAMPLE,
+            "the maximum totalpay of the employees whose title is chef"
+            " and whose location is downtown",
+            "what is the total of the hours and the othours for the"
+            " baristas who work in capitol hill",
+        ]
+        service = TranslationService(make_payroll())
+
+        def ranking(sentence):
+            result = service.translate(sentence)
+            assert result.ok
+            return [(str(c.program), repr(c.score)) for c in result.candidates]
+
+        sequential = {s: ranking(s) for s in sentences}
+        errors: list[BaseException] = []
+        answers: list[tuple[str, list]] = []
+        lock = threading.Lock()
+        barrier = threading.Barrier(len(sentences))
+
+        def work(sentence):
+            try:
+                barrier.wait()
+                for _ in range(3):
+                    got = ranking(sentence)
+                    with lock:
+                        answers.append((sentence, got))
+            except BaseException as exc:  # noqa: BLE001 - recorded for assert
+                with lock:
+                    errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(s,)) for s in sentences
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-translation
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(answers) == 3 * len(sentences)
+        for sentence, got in answers:
+            assert got == sequential[sentence], sentence
+
 
 class TestDeadlineExhaustedDeterministic:
     def test_ticking_clock_exhausts_every_tier(self):

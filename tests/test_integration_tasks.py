@@ -14,6 +14,7 @@ from repro.dataset import all_tasks, build_sheet, generate_descriptions
 from repro.dsl import Evaluator, ExcelEmitter, ast, paraphrase
 from repro.dsl.parser import DslParseError, parse_expr, print_expr
 from repro.evalkit import TaskOracle, canonicalize, evaluate_description
+from repro.evalkit.canonical import equivalent
 from repro.translate import Translator
 
 _TASKS = list(all_tasks())
@@ -72,3 +73,29 @@ class TestEveryTask:
         assert best is not None and best < 3, (
             f"no description of {task.task_id} reached the top 3"
         )
+
+
+def _paraphrase_cases():
+    for task in _TASKS:
+        marks = ()
+        if task.task_id == "payroll-09":
+            marks = pytest.mark.xfail(
+                strict=True,
+                reason="'basepay plus otpay times 1.1' reads as basepay + "
+                "(otpay * 1.1): the structured English drops the gold's "
+                "parentheses, so precedence picks the other grouping",
+            )
+        yield pytest.param(task, marks=marks, id=task.task_id)
+
+
+@pytest.mark.parametrize("task", _paraphrase_cases())
+def test_gold_paraphrase_translates_back_to_gold(task, oracle, translators):
+    """The structured English shown for a program names a program the
+    translator reads back: its top-1 is equivalent to the gold."""
+    workbook = oracle.workbook(task.sheet_id)
+    gold = task.gold(workbook)
+    candidates = translators[task.sheet_id].translate(paraphrase(gold))
+    assert candidates, paraphrase(gold)
+    assert equivalent(candidates[0].program, gold, workbook), (
+        paraphrase(gold), str(candidates[0].program)
+    )
