@@ -29,8 +29,7 @@ def holes_of(expr: ast.Expr) -> tuple[ast.Hole, ...]:
     if cached is not None:
         return cached
     holes = tuple(node for node in expr.walk() if isinstance(node, ast.Hole))
-    if ast.hotpath_enabled():
-        object.__setattr__(expr, "_holes", holes)
+    object.__setattr__(expr, "_holes", holes)
     return holes
 
 

@@ -22,6 +22,13 @@ _BINOP_PHRASE = {
     ast.BinaryOp.MULT: "times",
     ast.BinaryOp.DIV: "divided by",
 }
+# "X times Y" reads with times binding tighter, so a sum or difference on
+# the left of a product or quotient is grouped by a leading verb instead:
+# "multiply basepay plus otpay by 1.1" is (basepay + otpay) * 1.1.
+_GROUPED_PHRASE = {
+    ast.BinaryOp.MULT: "multiply",
+    ast.BinaryOp.DIV: "divide",
+}
 _RELOP_PHRASE = {
     ast.RelOp.EQ: "=",
     ast.RelOp.LT: "<",
@@ -106,7 +113,14 @@ def _value(e: ast.Expr) -> str:
     if isinstance(e, ast.Count):
         return f"count the rows{_source_suffix(e.source)}" + _where(e.condition)
     if isinstance(e, ast.BinOp):
-        return f"{_value(e.left)} {_BINOP_PHRASE[e.op]} {_value(e.right)}"
+        left, right = _value(e.left), _value(e.right)
+        if (
+            e.op in _GROUPED_PHRASE
+            and isinstance(e.left, ast.BinOp)
+            and e.left.op in (ast.BinaryOp.ADD, ast.BinaryOp.SUB)
+        ):
+            return f"{_GROUPED_PHRASE[e.op]} {left} by {right}"
+        return f"{left} {_BINOP_PHRASE[e.op]} {right}"
     if isinstance(e, ast.Lookup):
         return (
             f"look up {_value(e.needle)} in {_value(e.key)}"

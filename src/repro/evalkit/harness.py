@@ -857,7 +857,6 @@ class LargeSheetReport:
     median_ms: float = 0.0         # steady-state cold request
     mean_ms: float = 0.0
     answered: int = 0
-    columnar: bool = True
     distinct_values: int = 0
     text_cells: int = 0
 
@@ -868,8 +867,7 @@ def run_largesheet(
     seed: int | None = None,
 ) -> LargeSheetReport:
     """Translate a deterministic workload against a ``rows``-row stress
-    workbook (:mod:`repro.dataset.stress`) in the *current* columnar mode
-    (flip with ``REPRO_NO_COLUMNAR=1``; the perf bench runs the A/B)."""
+    workbook (:mod:`repro.dataset.stress`)."""
     from statistics import mean, median
 
     from ..dataset.stress import (
@@ -877,11 +875,9 @@ def run_largesheet(
         stress_sentences,
         stress_workbook,
     )
-    from ..sheet import columnar
     from ..translate import Translator
 
     report = LargeSheetReport(rows=rows)
-    report.columnar = columnar.columnar_enabled()
 
     start = perf()
     workbook = stress_workbook(rows, seed=DEFAULT_STRESS_SEED if seed is None else seed)
@@ -905,26 +901,21 @@ def run_largesheet(
     report.first_ms = timings[0]
     report.median_ms = median(timings[1:] or timings)
     report.mean_ms = mean(timings)
-    if report.columnar:
-        index = workbook.columnar_index()
-        report.distinct_values = index.n_values
-        report.text_cells = index.n_cells()
+    index = workbook.columnar_index()
+    report.distinct_values = index.n_values
+    report.text_cells = index.n_cells()
     return report
 
 
 def format_largesheet(report: LargeSheetReport) -> str:
-    mode = "columnar" if report.columnar else "row-backed (REPRO_NO_COLUMNAR)"
     lines = [
-        f"{report.rows} rows / {report.n} cold requests / {mode}",
+        f"{report.rows} rows / {report.n} cold requests",
         f"workbook build {report.build_seconds:>6.2f}s   "
         f"first request {report.first_ms:>8.1f}ms (includes index build)",
         f"per request: median {report.median_ms:>7.1f}ms   "
         f"mean {report.mean_ms:>7.1f}ms   "
         f"answered {report.answered}/{report.n}",
+        f"index: {report.distinct_values} distinct values over "
+        f"{report.text_cells} text cells",
     ]
-    if report.columnar:
-        lines.append(
-            f"index: {report.distinct_values} distinct values over "
-            f"{report.text_cells} text cells"
-        )
     return "\n".join(lines)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from ..dsl import ast
 from ..sheet import CellValue, Color, FormatFn
-from ..sheet.columnar import columnar_enabled
 from ..translate.rules import RuleSet, make_rule
 
 _H = ast.Hole
@@ -89,12 +88,8 @@ _BUILTIN: RuleSet | None = None
 
 
 def builtin_rules() -> RuleSet:
-    """The base rule set (a fresh RuleSet sharing one cached rule list
-    when the columnar/template optimisation layer is enabled; rebuilt from
-    scratch per call under ``REPRO_NO_COLUMNAR=1``)."""
+    """The base rule set: a fresh RuleSet over one shared rule list."""
     global _BUILTIN
-    if not columnar_enabled():
-        return _build_rules()
     if _BUILTIN is None:
         _BUILTIN = _build_rules()
     return RuleSet(list(_BUILTIN.rules))

@@ -180,16 +180,10 @@ def _build_reply(request: dict, services: dict) -> dict:
 
 
 def worker_main(conn, worker_id: int, worker_faults: str | None = None) -> None:
-    """Process entry point: serve requests from ``conn`` until shutdown."""
-    # Honour REPRO_NO_INTERN and REPRO_NO_COLUMNAR even under fork: the
-    # parent imported the DSL before the env vars may have been set, so
-    # re-read both here (one call syncs both switches) — this is what lets
-    # the differential harness run a de-optimised gateway.  In the default
-    # modes the fork inherits the parent's warm intern, template, and
-    # columnar-index tables through copy-on-write.
-    from ..dsl import ast as _ast
+    """Process entry point: serve requests from ``conn`` until shutdown.
 
-    _ast.sync_hotpath_from_env()
+    A forked worker inherits the parent's warm intern, template, and
+    columnar-index tables through copy-on-write."""
     if worker_faults:
         install(parse_plan(worker_faults))
     services: dict[str, tuple] = {}

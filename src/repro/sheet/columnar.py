@@ -2,9 +2,9 @@
 
 The translator's seed matching (``SheetContext``) and the type checker's
 content check both consume the same question — *which values occur in
-which columns* — and the row-backed answer (``Table.distinct_text_values``)
-walks every cell in Python on every ``Translator`` construction.  On a
-100k-row table that walk dominates cold translation.
+which columns*.  Answering it by walking every cell in Python on every
+``Translator`` construction dominates cold translation on a 100k-row
+table.
 
 This module interns every normalised text value into a string pool once
 per workbook revision and stores each TEXT column as a vector of pool ids
@@ -16,13 +16,8 @@ per workbook revision and stores each TEXT column as a vector of pool ids
 * *does value v occur in column c?* (the ``Valid`` content check) — one
   pool probe plus one set-membership test,
 
-instead of per-probe scans over ``dict``-of-rows.
-
-``REPRO_NO_COLUMNAR=1`` is the escape hatch, mirroring ``REPRO_NO_INTERN``
-(:mod:`repro.dsl.ast`): it restores the row-backed lookups *and* every
-optimisation gated on this switch downstream (template interning and the
-cached builtin rule set; alignment has one path whatever it says).  The
-differential harness proves both modes byte-identical.
+instead of per-probe scans over ``dict``-of-rows.  Every answer equals
+the row walk's, slot order included (``tests/sheet/lexicon_oracle.py``).
 
 The index is pure derived state: building it never mutates the workbook,
 and :meth:`repro.sheet.workbook.Workbook.columnar_index` memoises it
@@ -35,7 +30,6 @@ session step that writes outside the tables keeps it.
 from __future__ import annotations
 
 import importlib.util
-import os
 from array import array
 from typing import TYPE_CHECKING
 
@@ -47,31 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # Whether numpy is installed, for environment reports only: no code path
 # depends on it, and nothing here imports it.
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-_COLUMNAR = os.environ.get("REPRO_NO_COLUMNAR", "") != "1"
-
-
-def columnar_enabled() -> bool:
-    """True when the columnar backend (and the optimisations gated on it)
-    are active (default)."""
-    return _COLUMNAR
-
-
-def set_columnar(enabled: bool) -> None:
-    """Flip the columnar switch at runtime (tests, differential harness).
-
-    The per-workbook index memo is keyed on the table revision and the
-    index itself is a pure function of sheet content, so nothing needs
-    clearing on a flip: a disabled probe simply never consults it.
-    """
-    global _COLUMNAR
-    _COLUMNAR = bool(enabled)
-
-
-def sync_columnar_from_env() -> None:
-    """Re-read ``REPRO_NO_COLUMNAR`` — needed by forked gateway workers
-    whose parent imported this module before the env var was set."""
-    set_columnar(os.environ.get("REPRO_NO_COLUMNAR", "") != "1")
 
 
 class ColumnVector:
@@ -86,9 +55,6 @@ class ColumnVector:
         self.name = name
         self.ids = ids
         self.distinct = distinct
-
-    def contains(self, ident: int) -> bool:
-        return ident in self.distinct
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -118,8 +84,8 @@ class ColumnarIndex:
     def __init__(self, workbook: "Workbook") -> None:
         self._pool: dict[str, int] = {}
         self._strings: list[str] = []
-        # (table display name, vectors in column order), in table order —
-        # the exact traversal order of Workbook.all_text_values().
+        # (table display name, vectors in column order), in table order:
+        # the order slot lists follow.
         self._tables: list[tuple[str, tuple[ColumnVector, ...]]] = []
         # table key -> column name -> vector, for the content check.
         self._by_table: dict[str, dict[str, ColumnVector]] = {}
@@ -142,8 +108,7 @@ class ColumnarIndex:
     # -- construction ------------------------------------------------------
 
     def _intern_column(self, table, j: int, name: str) -> ColumnVector:
-        """Normalise (strip + lower, exactly as ``distinct_text_values``)
-        and intern one column's cells.  The raw-payload memo makes repeated
+        """Normalise (strip + lower) and intern one column's cells.  The raw-payload memo makes repeated
         values — the common case in large sheets — one dict probe each."""
         pool = self._pool
         strings = self._strings
@@ -171,14 +136,9 @@ class ColumnarIndex:
 
     # -- probes ------------------------------------------------------------
 
-    def value_id(self, norm: str) -> int | None:
-        """Pool id of a normalised value, or None when it occurs nowhere."""
-        return self._pool.get(norm)
-
     def slots(self, norm: str) -> tuple[tuple[str, str], ...]:
-        """Every (table name, column name) slot containing ``norm``, in
-        ``Workbook.all_text_values()`` order (tables in insertion order,
-        columns in header order within a table)."""
+        """Every (table name, column name) slot containing ``norm``, tables
+        in insertion order and columns in header order within a table."""
         ident = self._pool.get(norm)
         if ident is None:
             return ()
@@ -194,10 +154,9 @@ class ColumnarIndex:
         return cached
 
     def occurs_in(self, table_key: str, norm: str, column_name: str) -> bool:
-        """True when ``norm`` occurs in the named column — the columnar
-        face of the type checker's Eq(text column, text literal) content
-        check, replacing a full ``distinct_text_values`` table walk with
-        one pool probe and one set test."""
+        """True when ``norm`` occurs in the named column — the type
+        checker's Eq(text column, text literal) content check, answered
+        with one pool probe and one set test."""
         ident = self._pool.get(norm)
         if ident is None:
             return False
@@ -210,9 +169,9 @@ class ColumnarIndex:
     # -- derived, table-revision-scoped artefacts --------------------------
 
     def all_text_values(self) -> dict[str, list[tuple[str, str]]]:
-        """The merged value -> slots lexicon, equal (keys, and slot-list
-        order per key) to the row-backed ``Workbook.all_text_values()``.
-        Callers must treat it as read-only: it is shared per revision."""
+        """The merged lexicon: lowercase text value -> every (table name,
+        column name) slot holding it, in :meth:`slots` order.  Callers must
+        treat it as read-only: it is shared per revision."""
         if self._text_values is None:
             strings = self._strings
             merged: dict[str, list[tuple[str, str]]] = {}

@@ -203,27 +203,6 @@ class Table:
             if any(c.matches_format(fns) for c in self._rows[i])
         ]
 
-    def distinct_text_values(self) -> dict[str, list[str]]:
-        """Map of lowercase text value -> column names containing it.
-
-        The translator's ``ValuePat`` matcher consults this to recognise
-        phrases like "capitol hill" as sheet values and to resolve which
-        column a bare value refers to.
-        """
-        seen: dict[str, list[str]] = {}
-        for j, col in enumerate(self._columns):
-            if col.dtype is not ValueType.TEXT:
-                continue
-            for i in range(self.n_rows):
-                v = self._rows[i][j].value
-                if v.is_empty:
-                    continue
-                key = str(v.payload).strip().lower()
-                cols = seen.setdefault(key, [])
-                if col.name not in cols:
-                    cols.append(col.name)
-        return seen
-
     def clone(self) -> "Table":
         """A deep copy: cell values are shared (immutable), cell records
         and row lists are fresh, so mutations never leak across copies."""

@@ -27,7 +27,7 @@ from .cell import (
     current_revision,
     table_revision,
 )
-from .columnar import ColumnarIndex, columnar_enabled
+from .columnar import ColumnarIndex
 from .table import Table
 from .values import CellValue
 from .vectors import Magnitudes, TextIds
@@ -47,8 +47,6 @@ class Workbook:
         self._fp_revision: int = -1
         self._columnar: ColumnarIndex | None = None
         self._columnar_revision: int = -1
-        self._text_values: dict[str, list[tuple[str, str]]] | None = None
-        self._text_values_revision: int = -1
         self._vectors: dict[tuple, Magnitudes | TextIds] = {}
         self._vectors_revision: int = -1
 
@@ -61,7 +59,6 @@ class Workbook:
         state.update(
             _fp_digest=None, _fp_revision=-1,
             _columnar=None, _columnar_revision=-1,
-            _text_values=None, _text_values_revision=-1,
             _vectors={}, _vectors_revision=-1,
         )
         return state
@@ -375,37 +372,3 @@ class Workbook:
         if vector is None:
             vector = self._vectors[key] = layout(table.cell_rows, j)
         return vector
-
-    def all_text_values(self) -> dict[str, list[tuple[str, str]]]:
-        """lowercase text value -> [(table name, column name)] everywhere it
-        occurs; the translator's sheet-value lexicon.
-
-        Memoised against the table revision, like :meth:`columnar_index`
-        (and served straight from the columnar index when that backend is
-        enabled); callers must treat the result as read-only.  With
-        ``REPRO_NO_COLUMNAR=1`` the original rebuild-per-call row walk is
-        restored unchanged.
-        """
-        if not columnar_enabled():
-            return self._all_text_values_rows()
-        revision = table_revision()
-        if (
-            self._text_values is not None
-            and self._text_values_revision == revision
-        ):
-            return self._text_values
-        merged = self.columnar_index().all_text_values()
-        self._text_values = merged
-        self._text_values_revision = revision
-        return merged
-
-    def _all_text_values_rows(self) -> dict[str, list[tuple[str, str]]]:
-        """The row-backed lexicon build (the pre-columnar code path)."""
-        merged: dict[str, list[tuple[str, str]]] = {}
-        for table in self._tables.values():
-            for value, columns in table.distinct_text_values().items():
-                slots = merged.setdefault(value, [])
-                for col in columns:
-                    if (table.name, col) not in slots:
-                        slots.append((table.name, col))
-        return merged

@@ -60,9 +60,9 @@ class Derivation:
     prod_count: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        # Hash-cons the expression (no-op under REPRO_NO_INTERN): every
-        # derivation created anywhere in the pipeline carries a canonical
-        # node, so downstream dedup/type-checker probes are identity-backed.
+        # Hash-cons the expression: every derivation created anywhere in
+        # the pipeline carries a canonical node, so downstream
+        # dedup/type-checker probes are identity-backed.
         object.__setattr__(self, "expr", ast.intern(self.expr))
         mask = 0
         for k in self.used:

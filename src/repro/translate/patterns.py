@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
 from ..errors import RuleParseError
-from ..sheet.columnar import columnar_enabled
 from .context import MAX_SPAN_WORDS, SheetContext
 from .tokenizer import Token
 
@@ -214,27 +213,16 @@ _TEMPLATE_TABLE: dict[str, tuple["Pattern", ...]] = {}
 _TEMPLATE_CAP = 4096
 
 
-def template_table_size() -> int:
-    return len(_TEMPLATE_TABLE)
-
-
 def parse_template(text: str) -> tuple[Pattern, ...]:
-    """Parse the concrete template syntax shown in the module docstring.
-
-    Interned per template text (see ``_TEMPLATE_TABLE``) unless the
-    columnar/template optimisation layer is disabled via
-    ``REPRO_NO_COLUMNAR=1``, in which case every call re-parses — the
-    pre-optimisation behaviour.
-    """
-    if columnar_enabled():
-        cached = _TEMPLATE_TABLE.get(text)
-        if cached is None:
-            if len(_TEMPLATE_TABLE) >= _TEMPLATE_CAP:
-                _TEMPLATE_TABLE.clear()
-            cached = _parse_template(text)
-            _TEMPLATE_TABLE[text] = cached
-        return cached
-    return _parse_template(text)
+    """Parse the concrete template syntax shown in the module docstring,
+    interned per template text (see ``_TEMPLATE_TABLE``)."""
+    cached = _TEMPLATE_TABLE.get(text)
+    if cached is None:
+        if len(_TEMPLATE_TABLE) >= _TEMPLATE_CAP:
+            _TEMPLATE_TABLE.clear()
+        cached = _parse_template(text)
+        _TEMPLATE_TABLE[text] = cached
+    return cached
 
 
 def _parse_template(text: str) -> tuple[Pattern, ...]:

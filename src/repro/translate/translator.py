@@ -160,7 +160,7 @@ class Translator:
             # Rules that can match some fragment of this sentence — the
             # per-span quick-reject scan then only sees plausible rules.
             active_rules = None
-            if self.config.use_rules and ast.hotpath_enabled():
+            if self.config.use_rules:
                 active_rules = self.rule_translator.sentence_rules(tokens)
 
             try:

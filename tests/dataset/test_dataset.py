@@ -43,7 +43,7 @@ class TestSheets:
 
     def test_domains_have_distinct_vocabulary(self):
         vocabularies = [
-            set(build_sheet(s).all_text_values()) for s in
+            set(build_sheet(s).columnar_index().all_text_values()) for s in
             ("payroll", "inventory", "countries", "invoices")
         ]
         for i in range(4):

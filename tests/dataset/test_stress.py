@@ -32,7 +32,7 @@ def test_shape_and_cross_column_duplication():
     # Region values are deliberately shared between Orders.region,
     # Orders.shipregion and Couriers.region: a bare region span must
     # resolve to multiple slots (the ResolveCol regime at scale).
-    lexicon = wb.all_text_values()
+    lexicon = wb.columnar_index().all_text_values()
     region = str(orders.cell(0, 1).value.payload)
     slots = set(lexicon[region])
     assert ("Orders", "region") in slots

@@ -205,6 +205,24 @@ class TestParaphrase:
         p = ast.BinOp(ast.BinaryOp.MULT, col("basepay"), num(1.1))
         assert paraphrase(p) == "basepay times 1.1"
 
+    @pytest.mark.parametrize("outer, inner, grouped, flat", [
+        (ast.BinaryOp.MULT, ast.BinaryOp.ADD,
+         "multiply basepay plus otpay by 1.1",
+         "basepay plus otpay times 1.1"),
+        (ast.BinaryOp.DIV, ast.BinaryOp.SUB,
+         "divide basepay minus otpay by 1.1",
+         "basepay minus otpay divided by 1.1"),
+    ])
+    def test_grouped_arithmetic(self, outer, inner, grouped, flat):
+        """A sum or difference on the left of a product or quotient is
+        grouped by a leading verb, so the two readings of "a plus b times
+        c" render differently."""
+        a, b, c = col("basepay"), col("otpay"), num(1.1)
+        left_grouped = ast.BinOp(outer, ast.BinOp(inner, a, b), c)
+        right_grouped = ast.BinOp(inner, a, ast.BinOp(outer, b, c))
+        assert paraphrase(left_grouped) == grouped
+        assert paraphrase(right_grouped) == flat
+
     def test_select(self):
         p = ast.MakeActive(ast.SelectRows(ast.GetTable(), eq("title", "chef")))
         assert paraphrase(p) == "select the rows where title = chef"

@@ -81,15 +81,6 @@ def expressions():
     )
 
 
-@pytest.fixture(autouse=True)
-def _hotpath_on():
-    """These properties are about the optimised mode; pin it on."""
-    was = ast.hotpath_enabled()
-    ast.set_hotpath(True)
-    yield
-    ast.set_hotpath(was)
-
-
 # -- interning preserves structural semantics --------------------------------
 
 
@@ -190,17 +181,3 @@ def test_memoised_checker_agrees_with_cold(workbook, exprs):
             == cold.valid_program(expr)
             == warm.valid_program(expr)
         )
-
-
-@given(expressions())
-@settings(max_examples=100)
-def test_memoised_checker_agrees_across_modes(workbook, expr):
-    """The same verdicts with the hot path disabled entirely."""
-    expr_interned = ast.intern(expr)
-    on = _verdict(TypeChecker(workbook, content_check=True), expr_interned)
-    ast.set_hotpath(False)
-    try:
-        off = _verdict(TypeChecker(workbook, content_check=True), expr)
-    finally:
-        ast.set_hotpath(True)
-    assert on == off

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dataset import build_sheet
+from repro.dsl import paraphrase
 from repro.session import Clarification, clarify, needs_clarification
 from repro.translate import Translator
 
@@ -46,3 +47,16 @@ class TestClarification:
         candidates = translator.translate("basepay plus otpay times 1.10")
         text = clarify(candidates).render()
         assert "plus" in text and "times" in text
+
+    def test_options_read_differently(self, translator):
+        """The two groupings of "a plus b times c" get two different
+        lines, so the question can be answered."""
+        candidates = translator.translate("basepay plus otpay times 1.10")
+        clarification = clarify(candidates)
+        first = paraphrase(clarification.first.program)
+        second = paraphrase(clarification.second.program)
+        assert first != second
+        assert {first, second} == {
+            "basepay plus otpay times 1.1",
+            "multiply basepay plus otpay by 1.1",
+        }

@@ -1,18 +1,20 @@
-"""The columnar backend must be indistinguishable from the row walk.
+"""The columnar index must answer as the row walk does.
 
 Property tests (hypothesis) build arbitrary workbooks — unicode values,
 whitespace, empties, plural-trap strings, values deliberately duplicated
-across columns and tables — and assert that every columnar lookup equals
-its row-backed counterpart in both ``REPRO_NO_COLUMNAR`` modes:
+across columns and tables — and assert that every index lookup equals the
+row-walk oracle (``lexicon_oracle.py``):
 
-* the merged value lexicon (``Workbook.all_text_values``), including the
-  slot-list *order* per value (it feeds seed and ranking order),
+* the merged value lexicon (``ColumnarIndex.all_text_values``) and
+  ``slots``, including the slot *order* per value (it feeds seed and
+  ranking order),
 * ``SheetContext.match_value`` / ``match_column`` over arbitrary spans,
-* the type checker's value-in-column content probe,
+* the type checker's value-in-column content probe (``occurs_in``),
 * the derived vocabulary artefacts (value words, max span width).
 
-Deterministic unit tests cover the revision-memo behaviour — which writes
-keep the index and which rebuild it — and the escape-hatch switch itself.
+A deterministic test checks the same on a 2,000-row stress sheet, and
+unit tests cover the revision-memo behaviour: which writes keep the index
+and which rebuild it.
 """
 
 from __future__ import annotations
@@ -31,10 +33,15 @@ from repro.sheet import (
     Table,
     ValueType,
     Workbook,
-    columnar_enabled,
-    set_columnar,
 )
-from repro.translate.context import SheetContext
+from repro.translate.context import (
+    MAX_SPAN_WORDS,
+    ColumnMatch,
+    SheetContext,
+    ValueMatch,
+)
+
+from . import lexicon_oracle as oracle
 
 # A pool with deliberate traps: empties-after-strip, plurals, multi-word
 # values, case/space variants that normalise together, unicode.
@@ -43,13 +50,6 @@ _TRICKY = [
     "CAPITOL HILL", "a b c d e", "s", "ß", "Ünïcode véry", "0", "column",
 ]
 _VALUES = st.one_of(st.sampled_from(_TRICKY), st.text(max_size=8))
-
-
-@pytest.fixture(autouse=True)
-def _restore_columnar():
-    was = columnar_enabled()
-    yield
-    set_columnar(was)
 
 
 @st.composite
@@ -87,11 +87,9 @@ def workbooks(draw):
     return wb
 
 
-def _spans(workbook) -> list[tuple[str, ...]]:
+def _spans(lexicon) -> list[tuple[str, ...]]:
     """Probe spans: every value in the lexicon, its plural, its words, and
     some junk — enough to hit every match branch."""
-    set_columnar(False)
-    lexicon = workbook._all_text_values_rows()
     spans: list[tuple[str, ...]] = [("nosuchvalue",), ("chef", "hill")]
     for value in list(lexicon)[:40]:
         words = tuple(value.split())
@@ -102,49 +100,36 @@ def _spans(workbook) -> list[tuple[str, ...]]:
     return spans
 
 
-@settings(max_examples=60, deadline=None)
-@given(workbooks())
-def test_lexicon_identical(wb):
-    """all_text_values: same keys, same slots, same slot order."""
-    set_columnar(False)
-    legacy = wb.all_text_values()
-    set_columnar(True)
-    columnar = wb.all_text_values()
-    assert {k: list(v) for k, v in columnar.items()} == legacy
+def _expected_values(lexicon, max_words, words) -> list[ValueMatch]:
+    """``match_value``'s answer read off the row-walk lexicon: the span,
+    or else the span less a plural "s", with every slot holding it."""
+    if not words or len(words) > max_words + 1:
+        return []
+    joined = " ".join(words)
+    for candidate in (joined, joined[:-1] if joined.endswith("s") else None):
+        if candidate is not None and lexicon.get(candidate):
+            return [ValueMatch(candidate, t, c) for t, c in lexicon[candidate]]
+    return []
 
 
-@settings(max_examples=60, deadline=None)
-@given(workbooks())
-def test_context_matches_identical(wb):
-    """match_value/match_column agree span-for-span, order included."""
-    spans = _spans(wb)
-    set_columnar(True)
-    ctx_col = SheetContext(wb)
-    set_columnar(False)
-    ctx_row = SheetContext(wb)
-    assert ctx_col._max_value_words == ctx_row._max_value_words
-    assert set(ctx_col._value_words) == set(ctx_row._value_words)
-    for span in spans:
-        set_columnar(True)
-        by_col = ctx_col.match_value(span)
-        by_col_c = ctx_col.match_column(span)
-        set_columnar(False)
-        assert by_col == ctx_row.match_value(span), span
-        assert by_col_c == ctx_row.match_column(span), span
-
-
-@settings(max_examples=60, deadline=None)
-@given(workbooks(), _VALUES)
-def test_occurs_probe_identical(wb, raw):
-    """The content-check probe: columnar occurs_in vs the row walk, for
-    every (table, column) and both in-lexicon and arbitrary needles."""
-    set_columnar(True)
+def _check_lexicon(wb) -> dict[str, list[tuple[str, str]]]:
+    """The index's lexicon and ``slots`` against the row walk: same keys,
+    same slots, same slot order.  Returns the oracle lexicon."""
     index = wb.columnar_index()
-    needles = {raw.strip().lower()}
-    needles.update(list(index.all_text_values())[:20])
+    lexicon = oracle.all_text_values(wb)
+    assert {k: list(v) for k, v in index.all_text_values().items()} == lexicon
+    for value, slots in lexicon.items():
+        assert index.slots(value) == tuple(slots), value
+    return lexicon
+
+
+def _check_occurs(wb, needles) -> None:
+    """``occurs_in`` against the row walk for every (table, column) and
+    needle."""
+    index = wb.columnar_index()
     for table in wb.tables:
         key = table.name.strip().lower()
-        occurs = table.distinct_text_values()
+        occurs = oracle.distinct_text_values(table)
         for column in table.column_names:
             for needle in needles:
                 assert index.occurs_in(key, needle, column) == (
@@ -152,9 +137,61 @@ def test_occurs_probe_identical(wb, raw):
                 ), (key, column, needle)
 
 
+@settings(max_examples=60, deadline=None)
+@given(workbooks())
+def test_lexicon_identical(wb):
+    _check_lexicon(wb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(workbooks())
+def test_context_matches_identical(wb):
+    """match_value/match_column agree with the row walk span-for-span,
+    order included, and so do the value-word artefacts."""
+    lexicon = oracle.all_text_values(wb)
+    max_words = oracle.max_value_words(wb)
+    ctx = SheetContext(wb)
+    assert ctx._max_value_words == max_words
+    assert set(ctx._value_words) == oracle.value_words(wb)
+    for span in _spans(lexicon):
+        values = _expected_values(lexicon, max_words, span)
+        assert ctx.match_value(span) == values, span
+        if len(span) > MAX_SPAN_WORDS:
+            assert ctx.match_column(span) == [], span
+        else:
+            assert ctx.match_column(span) == (
+                ctx._direct_column(span) or [
+                    ColumnMatch(m.table, m.column, via_value=True)
+                    for m in values
+                ]
+            ), span
+
+
+@settings(max_examples=60, deadline=None)
+@given(workbooks(), _VALUES)
+def test_occurs_probe_identical(wb, raw):
+    """The content-check probe, for in-lexicon and arbitrary needles."""
+    needles = {raw.strip().lower()}
+    needles.update(list(oracle.all_text_values(wb))[:20])
+    _check_occurs(wb, needles)
+
+
+def test_index_matches_oracle_on_stress_sheet():
+    """Every lookup on a 2,000-row stress sheet, whose region values sit
+    in three columns of two tables: lexicon with slot order, ``slots``
+    and ``occurs_in`` for every value and column, and the word
+    artefacts."""
+    wb = stress_workbook(2000)
+    lexicon = _check_lexicon(wb)
+    assert any(len(slots) >= 3 for slots in lexicon.values())
+    _check_occurs(wb, lexicon)
+    index = wb.columnar_index()
+    assert set(index.value_words) == oracle.value_words(wb)
+    assert index.max_value_words == oracle.max_value_words(wb)
+
+
 def test_index_memoised_per_revision():
     wb = build_sheet("payroll")
-    set_columnar(True)
     first = wb.columnar_index()
     assert wb.columnar_index() is first  # same revision -> same object
     wb.table("Employees").cell(0, 0).value = CellValue.text("zoe")
@@ -166,22 +203,14 @@ def test_index_memoised_per_revision():
 
 def test_lexicon_memo_tracks_mutations():
     wb = build_sheet("payroll")
-    set_columnar(True)
-    assert "alice" in wb.all_text_values()
+    assert "alice" in wb.columnar_index().all_text_values()
     wb.table("Employees").cell(0, 0).value = CellValue.text("zoe")
-    fresh = wb.all_text_values()
+    fresh = wb.columnar_index().all_text_values()
     assert "zoe" in fresh and "alice" not in fresh
 
 
 def test_escape_hatch_switch():
-    set_columnar(False)
-    assert not columnar_enabled()
     wb = build_sheet("payroll")
-    assert wb.all_text_values()["chef"] == [
-        ("Employees", "title"), ("PayRates", "title")
-    ]
-    set_columnar(True)
-    assert columnar_enabled()
     assert wb.columnar_index().slots("chef") == (
         ("Employees", "title"), ("PayRates", "title")
     )
@@ -189,7 +218,6 @@ def test_escape_hatch_switch():
 
 def test_occurs_in_unknown_table_and_column():
     wb = build_sheet("payroll")
-    set_columnar(True)
     index = wb.columnar_index()
     assert not index.occurs_in("nope", "chef", "title")
     assert not index.occurs_in("employees", "chef", "nope")
@@ -233,11 +261,11 @@ def test_index_survives_writes_outside_table_text(mutate):
     wb = build_sheet("payroll")
     _select(wb)
     index = wb.columnar_index()
-    lexicon = wb.all_text_values()
+    lexicon = index.all_text_values()
     before = wb.fingerprint()
     mutate(wb)
     assert wb.columnar_index() is index
-    assert wb.all_text_values() is lexicon
+    assert index.all_text_values() is lexicon
     assert wb.fingerprint() != before
 
 

@@ -65,11 +65,11 @@ class TestTableAccess:
         with pytest.raises(SheetError):
             employees.cell(99, 0)
 
-    def test_distinct_text_values(self, employees):
-        values = employees.distinct_text_values()
-        assert "barista" in values
-        assert values["barista"] == ["title"]
-        assert "capitol hill" in values
+    def test_distinct_text_values(self, payroll):
+        index = payroll.columnar_index()
+        assert index.occurs_in("employees", "barista", "title")
+        assert not index.occurs_in("employees", "barista", "location")
+        assert index.slots("capitol hill") == (("Employees", "location"),)
 
     def test_render_contains_header_and_data(self, employees):
         text = employees.render()
@@ -183,7 +183,7 @@ class TestWorkbook:
         assert len(hits) == 2  # Employees and PayRates both have payrate
 
     def test_all_text_values_merges_tables(self, payroll):
-        values = payroll.all_text_values()
+        values = payroll.columnar_index().all_text_values()
         assert ("Employees", "title") in values["chef"]
         assert ("PayRates", "title") in values["chef"]
 

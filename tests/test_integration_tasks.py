@@ -75,20 +75,7 @@ class TestEveryTask:
         )
 
 
-def _paraphrase_cases():
-    for task in _TASKS:
-        marks = ()
-        if task.task_id == "payroll-09":
-            marks = pytest.mark.xfail(
-                strict=True,
-                reason="'basepay plus otpay times 1.1' reads as basepay + "
-                "(otpay * 1.1): the structured English drops the gold's "
-                "parentheses, so precedence picks the other grouping",
-            )
-        yield pytest.param(task, marks=marks, id=task.task_id)
-
-
-@pytest.mark.parametrize("task", _paraphrase_cases())
+@pytest.mark.parametrize("task", _TASKS, ids=lambda t: t.task_id)
 def test_gold_paraphrase_translates_back_to_gold(task, oracle, translators):
     """The structured English shown for a program names a program the
     translator reads back: its top-1 is equivalent to the gold."""
