@@ -22,6 +22,9 @@ Partial expressions extend this grammar with :class:`Hole` placeholders
 from __future__ import annotations
 
 import enum
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator
 
@@ -40,9 +43,27 @@ from ..sheet.values import CellValue
 
 _INTERN_TABLE: dict["Expr", "Expr"] = {}
 # Soft cap on distinct interned nodes.  A long-lived service translating
-# against many workbooks must not leak; clearing only costs future identity
-# sharing (correctness is structural, never identity-based).
+# against many workbooks must not leak, so :func:`intern_scope` clears the
+# table on entry once it holds this many; a clear only costs future
+# identity sharing.
 _INTERN_CAP = 1 << 18
+
+# Open :func:`intern_scope` blocks in this process, and the condition that
+# guards the count.  Reset in a forked child, which inherits neither the
+# parent's other threads nor their scopes (the HTTP server translates
+# streaming requests in-process while it respawns gateway workers).
+_scope_cond = threading.Condition()
+_open_scopes = 0
+
+
+def _reset_scopes_after_fork() -> None:
+    global _scope_cond, _open_scopes
+    _scope_cond = threading.Condition()
+    _open_scopes = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_scopes_after_fork)
 
 
 def intern(expr: "Expr") -> "Expr":
@@ -51,6 +72,7 @@ def intern(expr: "Expr") -> "Expr":
     Children are interned recursively, so every sub-expression of a
     canonical node is canonical too — which is what turns the type
     checker's structural cache probes into O(1) identity-backed hits.
+    The table is never cleared here: see :func:`intern_scope`.
     """
     table = _INTERN_TABLE
     found = table.get(expr)
@@ -64,10 +86,40 @@ def intern(expr: "Expr") -> "Expr":
             found = table.get(expr)
             if found is not None:
                 return found
-    if len(table) >= _INTERN_CAP:
-        table.clear()
     table[expr] = expr
     return expr
+
+
+@contextmanager
+def intern_scope() -> Iterator[None]:
+    """A block inside which the intern table is never cleared.
+
+    Inside it, two structurally equal nodes that went through
+    :func:`intern` are one object, so a map that lives no longer than the
+    block may key nodes by ``id()``.  The translator runs each translation
+    in one.  Scopes do not nest.
+
+    On entry, once the table holds ``_INTERN_CAP`` nodes and no other
+    scope is open in the process, the table is cleared.  Once it holds
+    twice that, the entry waits until the open scopes have closed and then
+    clears it, so threads that keep translations always in flight cannot
+    grow it without bound.
+    """
+    global _open_scopes
+    with _scope_cond:
+        if len(_INTERN_TABLE) >= 2 * _INTERN_CAP:
+            while _open_scopes:
+                _scope_cond.wait()
+        if not _open_scopes and len(_INTERN_TABLE) >= _INTERN_CAP:
+            _INTERN_TABLE.clear()
+        _open_scopes += 1
+    try:
+        yield
+    finally:
+        with _scope_cond:
+            _open_scopes -= 1
+            if not _open_scopes:
+                _scope_cond.notify_all()
 
 
 class ReduceOp(enum.Enum):

@@ -29,6 +29,7 @@ _GROUPED_PHRASE = {
     ast.BinaryOp.MULT: "multiply",
     ast.BinaryOp.DIV: "divide",
 }
+_ADDITIVE = (ast.BinaryOp.ADD, ast.BinaryOp.SUB)
 _RELOP_PHRASE = {
     ast.RelOp.EQ: "=",
     ast.RelOp.LT: "<",
@@ -114,12 +115,15 @@ def _value(e: ast.Expr) -> str:
         return f"count the rows{_source_suffix(e.source)}" + _where(e.condition)
     if isinstance(e, ast.BinOp):
         left, right = _value(e.left), _value(e.right)
-        if (
-            e.op in _GROUPED_PHRASE
-            and isinstance(e.left, ast.BinOp)
-            and e.left.op in (ast.BinaryOp.ADD, ast.BinaryOp.SUB)
-        ):
+        if e.op in _GROUPED_PHRASE and _is_additive(e.left):
             return f"{_GROUPED_PHRASE[e.op]} {left} by {right}"
+        # A sum or difference on the right reads left to right as if the
+        # left pair were grouped ("totalpay minus basepay plus otpay" is
+        # (totalpay - basepay) + otpay), so it leads with a verb too.
+        if e.op is ast.BinaryOp.SUB and _is_additive(e.right):
+            return f"subtract {right} from {left}"
+        if e.op is ast.BinaryOp.MULT and _is_additive(e.right):
+            return f"multiply {right} by {left}"
         return f"{left} {_BINOP_PHRASE[e.op]} {right}"
     if isinstance(e, ast.Lookup):
         return (
@@ -129,6 +133,10 @@ def _value(e: ast.Expr) -> str:
     if isinstance(e, ast.Hole):
         return str(e)
     raise EvaluationError(f"cannot paraphrase {e}")
+
+
+def _is_additive(e: ast.Expr) -> bool:
+    return isinstance(e, ast.BinOp) and e.op in _ADDITIVE
 
 
 def _source_suffix(rs: ast.Expr) -> str:

@@ -19,6 +19,7 @@ from ..dataset import (
     user_study_descriptions,
 )
 from ..obs.clock import perf
+from ..obs.trace import DP_STAGES
 from ..translate import TranslatorConfig, ablation_config
 from .metrics import Scoreboard, TaskOracle, evaluate_batch
 
@@ -592,11 +593,7 @@ def format_cache(report: CacheReport) -> str:
 
 _PROFILE_STAGES = {
     # span name -> reported stage (the pipeline breakdown of §3.1/§5)
-    "translate.tokenize": "tokenize",
-    "translate.seeds": "seeds",
-    "translate.rules": "rules",
-    "translate.synthesis": "synthesis",
-    "translate.rank": "rank",
+    **{f"translate.{stage}": stage for stage in DP_STAGES},
     "cache.probe": "cache",
     "cache.commit": "cache",
     "gateway.queue": "queue-wait",
@@ -681,10 +678,7 @@ def run_profile(
     return report
 
 
-_PROFILE_ORDER = (
-    "tokenize", "seeds", "rules", "synthesis", "rank",
-    "cache", "queue-wait", "worker",
-)
+_PROFILE_ORDER = DP_STAGES + ("cache", "queue-wait", "worker")
 
 
 def format_profile(report: ProfileReport) -> str:

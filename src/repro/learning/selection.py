@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..dsl.ast import intern_scope
 from ..dsl.types import TypeChecker
 from ..evalkit.canonical import canonicalize
 from ..translate.context import SheetContext
@@ -98,32 +99,36 @@ def score_rules(
                 TypeChecker(example.workbook, content_check=True),
             )
         ctx, checker = contexts[key]
-        tokens = tokenize(example.text)
-        tmap = _seed_tmap(tokens, ctx)
-        gold_parts = {
-            canonicalize(node, example.workbook)
-            for node in example.program.walk()
-        }
-        for st in stats:
-            translator = RuleTranslator(RuleSet([st.rule]), ctx, checker)
-            produced = []
-            n = len(tokens)
-            for width in range(1, n + 1):
-                for i in range(0, n - width + 1):
-                    produced.extend(
-                        translator.translate_span(tokens, i, i + width, tmap)
-                    )
-                if produced:
-                    break  # the smallest applying span decides
-            if not produced:
-                continue
-            correct = any(
-                _matches_gold(d.expr, gold_parts, example) for d in produced
-            )
-            if correct:
-                st.pos.add(index)
-            else:
-                st.neg.add(index)
+        # The span maps dedup on interned identity (``Derivation.key``),
+        # and the scope's entry is where the intern table is trimmed.
+        with intern_scope():
+            tokens = tokenize(example.text)
+            tmap = _seed_tmap(tokens, ctx)
+            gold_parts = {
+                canonicalize(node, example.workbook)
+                for node in example.program.walk()
+            }
+            for st in stats:
+                translator = RuleTranslator(RuleSet([st.rule]), ctx, checker)
+                produced = []
+                n = len(tokens)
+                for width in range(1, n + 1):
+                    for i in range(0, n - width + 1):
+                        produced.extend(translator.translate_span(
+                            tokens, i, i + width, tmap
+                        ))
+                    if produced:
+                        break  # the smallest applying span decides
+                if not produced:
+                    continue
+                correct = any(
+                    _matches_gold(d.expr, gold_parts, example)
+                    for d in produced
+                )
+                if correct:
+                    st.pos.add(index)
+                else:
+                    st.neg.add(index)
     return stats
 
 

@@ -72,12 +72,20 @@ from .telemetry import (
     WindowedHistogram,
     merge_states,
 )
-from .trace import NULL_TRACER, NullTracer, Span, Tracer, new_trace_id
+from .trace import (
+    DP_STAGES,
+    NULL_TRACER,
+    NullTracer,
+    Span,
+    Tracer,
+    new_trace_id,
+)
 
 __all__ = [
     "Clock",
     "Counter",
     "DEFAULT_BUCKETS",
+    "DP_STAGES",
     "Gauge",
     "Histogram",
     "ManualClock",

@@ -36,7 +36,13 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .clock import Clock, perf
 
-__all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer", "new_trace_id"]
+__all__ = [
+    "DP_STAGES", "NULL_TRACER", "NullTracer", "Span", "Tracer", "new_trace_id",
+]
+
+# The translator's DP stages, in pipeline order; each is timed by a
+# ``translate.<stage>`` span.
+DP_STAGES = ("tokenize", "seeds", "rules", "synthesis", "rank")
 
 
 def new_trace_id() -> str:

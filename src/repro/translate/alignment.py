@@ -164,10 +164,11 @@ class AlignmentChart:
     (compiled template, start) and answered per span.
 
     A chart belongs to one translation of one sentence: it holds no lock,
-    so it must not be shared between threads.
+    so it must not be shared between threads.  ``options`` is the rule
+    translator's per-translation memo of hole binding options.
     """
 
-    __slots__ = ("tokens", "ctx", "cap", "horizon", "_rows")
+    __slots__ = ("tokens", "ctx", "cap", "horizon", "_rows", "options")
 
     def __init__(
         self,
@@ -182,6 +183,7 @@ class AlignmentChart:
         self.horizon = max(1, horizon)
         # (template, start) -> (limit searched to, row of per-end buckets)
         self._rows: dict[tuple, tuple[int, list[list[Alignment]]]] = {}
+        self.options: dict[tuple, list] = {}
 
     def alignments(
         self, compiled: CompiledTemplate, start: int, end: int

@@ -11,14 +11,12 @@ Every candidate expression the translator produces is wrapped in a
   pattern-rule instantiation vs. substituted during synthesis;
 * ``rule_score`` — the score of the rule (or seed) that created the node.
 
-Score components used by the §3.4 ranking are computed eagerly bottom-up, so
-each derivation carries its production score and mix statistics at O(1) cost
-to the ranker.
+Score components used by the §3.4 ranking are computed bottom-up: the
+production score eagerly (the DP's dedup, beam and binding order read it),
+the mix statistics on first read (only the final ranking does).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from ..dsl import ast
 from ..dsl.holes import holes_of
@@ -28,66 +26,80 @@ RULE = "rule"
 SYNTH = "synth"
 
 
-@dataclass(frozen=True, eq=False)
 class Derivation:
     """One candidate (partial) expression plus its production history.
 
     Identity-based equality: the translator dedups explicitly on
-    :meth:`key`, and score caches live in computed fields.
+    :meth:`key`.  Treat an instance as immutable; the score fields are
+    derived from the history when it is built.
     """
 
-    expr: ast.Expr
-    used: frozenset[int]
-    used_cols: frozenset[int] = frozenset()
-    kind: str = ATOM
-    rule_score: float = 1.0
-    rule_children: tuple["Derivation", ...] = ()
-    synth_children: tuple["Derivation", ...] = ()
-    # computed in __post_init__
-    node_score: float = field(init=False, default=1.0)
-    prod_score: float = field(init=False, default=1.0)
-    swizzled: int = field(init=False, default=0)
-    all_pairs: int = field(init=False, default=0)
-    # ``UsedW - UsedCW`` (the words the synthesis disjointness condition
-    # compares, paper §3.2) as a bitmask over word positions, and whether
-    # ``expr`` still has holes.  Precomputed — ``synthesize`` reads both per
-    # pair in the quadratic frontier scan.
-    word_mask: int = field(init=False, repr=False, compare=False, default=0)
-    is_open: bool = field(init=False, repr=False, compare=False, default=False)
-    # ProdSc's (sum, count) over this subtree, so a parent adds its
-    # children's instead of re-walking them.
-    prod_total: float = field(init=False, repr=False, compare=False, default=0.0)
-    prod_count: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = (
+        "expr", "used", "used_cols", "kind", "rule_score",
+        "rule_children", "synth_children",
+        "node_score", "prod_total", "prod_count", "prod_score",
+        "word_mask", "is_open", "_key", "_mix",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        expr: ast.Expr,
+        used: frozenset[int],
+        used_cols: frozenset[int] = frozenset(),
+        kind: str = ATOM,
+        rule_score: float = 1.0,
+        rule_children: tuple["Derivation", ...] = (),
+        synth_children: tuple["Derivation", ...] = (),
+    ) -> None:
         # Hash-cons the expression: every derivation created anywhere in
-        # the pipeline carries a canonical node, so downstream
-        # dedup/type-checker probes are identity-backed.
-        object.__setattr__(self, "expr", ast.intern(self.expr))
+        # the pipeline carries a canonical node, so within one translation
+        # (an ``ast.intern_scope``) equal expressions are one object.
+        expr = ast.intern(expr)
+        self.expr = expr
+        self.used = used
+        self.used_cols = used_cols
+        self.kind = kind
+        self.rule_score = rule_score
+        self.rule_children = rule_children
+        self.synth_children = synth_children
+        # ``UsedW - UsedCW`` (the words the synthesis disjointness condition
+        # compares, paper §3.2) as a bitmask over word positions, and whether
+        # ``expr`` still has holes: ``synthesize`` reads both per pair in
+        # the quadratic frontier scan.
         mask = 0
-        for k in self.used:
-            if k not in self.used_cols:
+        for k in used:
+            if k not in used_cols:
                 mask |= 1 << k
-        object.__setattr__(self, "word_mask", mask)
-        object.__setattr__(self, "is_open", bool(holes_of(self.expr)))
-        object.__setattr__(self, "_key", (self.expr, self.used))
-        object.__setattr__(self, "node_score", self._node_score())
-        total, count = self._prod_parts()
-        object.__setattr__(self, "prod_total", total)
-        object.__setattr__(self, "prod_count", count)
-        object.__setattr__(
-            self, "prod_score", total / count if count else self.rule_score
-        )
-        swizzled, pairs = self._mix_parts()
-        object.__setattr__(self, "swizzled", swizzled)
-        object.__setattr__(self, "all_pairs", pairs)
+        self.word_mask = mask
+        self.is_open = bool(holes_of(expr))
+        self._key = (id(expr), used)
+        # ProdSc's (sum, count) over this subtree, so a parent adds its
+        # children's instead of re-walking them.
+        if kind == ATOM:
+            self.node_score = rule_score
+            self.prod_total = 0.0
+            self.prod_count = 0
+            self.prod_score = rule_score
+        else:
+            total = self.node_score = self._node_score()
+            count = 1
+            for c in rule_children + synth_children:
+                total += c.prod_total
+                count += c.prod_count
+            self.prod_total = total
+            self.prod_count = count
+            self.prod_score = total / count
+        # (Swizzled, AllPairs), computed on first read.
+        self._mix: tuple[int, int] | None = None
 
     # -- identity -------------------------------------------------------------
 
     def key(self) -> tuple:
-        """Dedup key: structurally equal expressions over the same words are
-        interchangeable candidates.  Computed eagerly in ``__post_init__`` —
-        the closure loops compare keys per pair."""
+        """Dedup key: equal expressions over the same words are
+        interchangeable candidates.  The expression is interned, so its
+        identity stands for its structure for as long as the intern table
+        is not cleared, which ``ast.intern_scope`` guarantees for one
+        translation."""
         return self._key
 
     @property
@@ -102,15 +114,13 @@ class Derivation:
     # -- §3.4 production score ---------------------------------------------------
 
     def _node_score(self) -> float:
-        """RScore x SScore of this node.
+        """RScore x SScore of this non-atom node.
 
         RScore averages the pairwise mean of this node's rule score with each
         rule-bound child's rule score (pattern applications combine gently);
         SScore multiplies in the production quality of synthesis-substituted
         children (repeated synthesis decays the score toward 0).
         """
-        if self.kind == ATOM:
-            return self.rule_score
         if self.rule_children:
             r = sum(
                 (self.rule_score + c.rule_score) / 2 for c in self.rule_children
@@ -122,18 +132,6 @@ class Derivation:
             s *= c.prod_score
         return r * s
 
-    def _prod_parts(self) -> tuple[float, int]:
-        """(sum of node scores, count) over all non-atom sub-derivations —
-        ProdSc is their mean.  Each child's parts were stored when it was
-        built, so this adds them in the order a recursive walk would."""
-        if self.kind == ATOM:
-            return (0.0, 0)
-        total, count = self.node_score, 1
-        for c in self.children:
-            total += c.prod_total
-            count += c.prod_count
-        return (total, count)
-
     # -- §3.4 mix score ------------------------------------------------------------
 
     def _span(self) -> tuple[int, int] | None:
@@ -141,9 +139,9 @@ class Derivation:
             return None
         return (min(self.used), max(self.used))
 
-    def _mix_parts(self) -> tuple[int, int]:
+    def _own_mix(self) -> tuple[int, int]:
         """(Swizzled, AllPairs) of this node: child-pair span overlaps plus
-        the children's own counts."""
+        the children's own counts, which must be known already."""
         children = self.children
         if not children:
             return (0, 0)
@@ -151,8 +149,9 @@ class Derivation:
         pairs = len(children) * (len(children) - 1)
         spans = [c._span() for c in children]
         for i, child in enumerate(children):
-            swizzled += child.swizzled
-            pairs += child.all_pairs
+            child_swizzled, child_pairs = child._mix
+            swizzled += child_swizzled
+            pairs += child_pairs
             a = spans[i]
             if a is None:
                 continue
@@ -164,11 +163,37 @@ class Derivation:
             swizzled += overlaps
         return (swizzled, pairs)
 
+    def _mix_parts(self) -> tuple[int, int]:
+        """(Swizzled, AllPairs), computed on first read for this node and
+        every descendant not yet computed (children first, with an explicit
+        stack so a deep history costs no recursion), then stored."""
+        if self._mix is None:
+            stack = [self]
+            while stack:
+                d = stack[-1]
+                pending = [c for c in d.children if c._mix is None]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                stack.pop()
+                if d._mix is None:
+                    d._mix = d._own_mix()
+        return self._mix
+
+    @property
+    def swizzled(self) -> int:
+        return self._mix_parts()[0]
+
+    @property
+    def all_pairs(self) -> int:
+        return self._mix_parts()[1]
+
     @property
     def mix_score(self) -> float:
-        if self.all_pairs == 0:
+        swizzled, pairs = self._mix_parts()
+        if pairs == 0:
             return 1.0
-        return 1.0 - self.swizzled / self.all_pairs
+        return 1.0 - swizzled / pairs
 
     def cover_score(self, word_weights) -> float:
         """CoverSc(e) = 1 / max(ignored^2, 1).

@@ -127,7 +127,9 @@ class RuleTranslator:
             if compiled.quick_reject(fragment_words):
                 continue
             for alignment in chart.alignments(compiled, start, end):
-                produced = self._apply(rule, alignment, fragment, start, tmap)
+                produced = self._apply(
+                    rule, alignment, fragment, start, tmap, chart.options
+                )
                 if budget is not None:
                     budget.charge(len(produced))
                 out.extend(produced)
@@ -142,14 +144,13 @@ class RuleTranslator:
         fragment: list[Token],
         offset: int,
         tmap: SpanMap,
+        memo: dict,
     ) -> list[Derivation]:
         range_by_ident = {
             pattern.ident: alignment[k]
             for k, pattern in enumerate(rule.template)
             if pattern.ident is not None
         }
-        pattern_used = self._pattern_used(rule, alignment, fragment, offset)
-
         options: list[tuple[int, list[Derivation]]] = []
         seen_idents: set[int] = set()
         for hole in holes_of(rule.expr):
@@ -159,26 +160,13 @@ class RuleTranslator:
             rng = range_by_ident.get(hole.ident)
             if rng is None:
                 continue  # unbound: synthesis fills it later
-            choices = self._bindings(hole, rng, fragment, offset, tmap)
+            choices = self._options(hole, rng, fragment, offset, tmap, memo)
             if not choices:
                 return []
-            # One option per distinct expression (TMap holds several
-            # derivations of the same expression over different word sets);
-            # keep the best-produced, widest-coverage one.
-            by_expr: dict[ast.Expr, Derivation] = {}
-            for d in choices:
-                kept = by_expr.get(d.expr)
-                if kept is None or d.prod_score * (1 + len(d.used)) > (
-                    kept.prod_score * (1 + len(kept.used))
-                ):
-                    by_expr[d.expr] = d
-            # Coverage-weighted order: a wide-coverage sub-derivation is a
-            # far better binding candidate than a high-prod single atom.
-            deduped = sorted(
-                by_expr.values(),
-                key=lambda d: -(d.prod_score * (1 + len(d.used))),
-            )
-            options.append((hole.ident, deduped[:_MAX_OPTIONS_PER_HOLE]))
+            options.append((hole.ident, choices))
+        pattern_used = frozenset(
+            self._pattern_used(rule, alignment, fragment, offset)
+        )
 
         out: list[Derivation] = []
         idents = [ident for ident, _ in options]
@@ -192,7 +180,7 @@ class RuleTranslator:
             expr = substitute(rule.expr, bindings, self.checker)
             if expr is None:
                 continue
-            used = frozenset(pattern_used)
+            used = pattern_used
             used_cols = frozenset()
             for child in combo:
                 used |= child.used
@@ -208,6 +196,44 @@ class RuleTranslator:
                 )
             )
         return out
+
+    def _options(
+        self,
+        hole: ast.Hole,
+        rng: tuple[int, int],
+        fragment: list[Token],
+        offset: int,
+        tmap: SpanMap,
+        memo: dict,
+    ) -> list[Derivation]:
+        """The binding options of ``hole`` over the fragment range ``rng``:
+        one per distinct expression (TMap holds several derivations of the
+        same expression over different word sets), the best-produced,
+        widest-coverage one, in coverage-weighted order — a wide-coverage
+        sub-derivation is a far better binding candidate than a high-prod
+        single atom.
+
+        They depend only on the hole kind and the absolute sub-span, so
+        ``memo`` (one per translation) keeps them.  A G hole is kept only
+        for a span ``tmap`` already holds: over the span being built it
+        finds nothing now.
+        """
+        span = (offset + rng[0], offset + rng[1])
+        key = (span, hole.kind)
+        options = memo.get(key)
+        if options is not None:
+            return options
+        best: dict[int, tuple[float, Derivation]] = {}
+        for d in self._bindings(hole, rng, fragment, offset, tmap):
+            weight = d.prod_score * (1 + len(d.used))
+            kept = best.setdefault(id(d.expr), (weight, d))
+            if weight > kept[0]:
+                best[id(d.expr)] = (weight, d)
+        ranked = sorted(best.values(), key=lambda entry: -entry[0])
+        options = [d for _, d in ranked[:_MAX_OPTIONS_PER_HOLE]]
+        if hole.kind is not ast.HoleKind.GENERAL or span in tmap:
+            memo[key] = options
+        return options
 
     def _pattern_used(
         self, rule: Rule, alignment: tuple, fragment: list[Token], offset: int

@@ -26,7 +26,7 @@ from ..dsl.excel import ExcelEmitter
 from ..dsl.paraphrase import paraphrase
 from ..dsl.types import TypeChecker
 from ..errors import BudgetExceededError, TranslationError
-from ..obs.trace import NULL_TRACER
+from ..obs.trace import DP_STAGES, NULL_TRACER
 from ..runtime.budget import Budget
 from ..runtime.faults import fault_point
 from ..sheet import Workbook
@@ -37,6 +37,11 @@ from .rules import RuleSet
 from .seeds import column_seeds, literal_seeds, operator_seeds, table_seeds, value_seeds
 from .synthesis import synthesize
 from .tokenizer import Token, tokenize
+
+# The span each DP stage is timed under.
+_TOKENIZE_SPAN, _SEEDS_SPAN, _RULES_SPAN, _SYNTHESIS_SPAN, _RANK_SPAN = (
+    f"translate.{stage}" for stage in DP_STAGES
+)
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,10 @@ class Translator:
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         self.checker.refresh()
-        with tracer.span("translate") as root:
-            with tracer.span("translate.tokenize"):
+        # One intern scope per translation: the DP's maps key interned
+        # expressions by identity, so the table must not be cleared under it.
+        with tracer.span("translate") as root, ast.intern_scope():
+            with tracer.span(_TOKENIZE_SPAN):
                 tokens = self.prepare_tokens(sentence)
                 self._validate_tokens(tokens)
                 fault_point("tokenize")
@@ -179,7 +186,7 @@ class Translator:
                         progress(self._rank_anytime(tmap, tokens))
             except BudgetExceededError:
                 root.set(anytime=True)
-                with tracer.span("translate.rank", anytime=True) as rank:
+                with tracer.span(_RANK_SPAN, anytime=True) as rank:
                     candidates = self._rank_anytime(tmap, tokens)
                     rank.set(candidates=len(candidates))
                     return candidates
@@ -187,7 +194,7 @@ class Translator:
             fault_point("ranking")
             final = tmap[(0, n)]
             with tracer.span(
-                "translate.rank", derivations=len(final)
+                _RANK_SPAN, derivations=len(final)
             ) as rank:
                 candidates = self._rank(final, tokens)
                 rank.set(candidates=len(candidates))
@@ -295,7 +302,7 @@ class Translator:
 
         try:
             # 1. keyword-programming seeds
-            with tracer.span("translate.seeds", i=i, j=j) as span:
+            with tracer.span(_SEEDS_SPAN, i=i, j=j) as span:
                 fault_point("seeds")
                 if j - i == 1:
                     token = tokens[i]
@@ -315,7 +322,7 @@ class Translator:
 
             # 2. pattern rules
             if self.config.use_rules:
-                with tracer.span("translate.rules", i=i, j=j) as span:
+                with tracer.span(_RULES_SPAN, i=i, j=j) as span:
                     produced = self.rule_translator.translate_span(
                         tokens, i, j, tmap, budget=budget,
                         rules=active_rules, chart=chart,
@@ -328,7 +335,7 @@ class Translator:
             if j - i >= 2:
                 base = self._dedup(tmap[(i, j - 1)] + tmap[(i + 1, j)])
                 if self.config.use_synthesis:
-                    with tracer.span("translate.synthesis", i=i, j=j) as span:
+                    with tracer.span(_SYNTHESIS_SPAN, i=i, j=j) as span:
                         left = [d for d in base if i in d.used]
                         right = [d for d in base if (j - 1) in d.used]
                         new = synthesize(
@@ -354,11 +361,13 @@ class Translator:
         return self._prune(self._dedup(derivations))
 
     def _dedup(self, derivations: list[Derivation]) -> list[Derivation]:
+        """One derivation per key, in first-occurrence order: the first
+        with the highest ``prod_score``."""
         seen: dict[tuple, Derivation] = {}
         for d in derivations:
             key = d.key()
-            kept = seen.get(key)
-            if kept is None or d.prod_score > kept.prod_score:
+            kept = seen.setdefault(key, d)
+            if d.prod_score > kept.prod_score:
                 seen[key] = d
         return list(seen.values())
 
@@ -369,9 +378,9 @@ class Translator:
         # two variants (best-produced, widest) carry all the information the
         # ranker and the combiners need, and the freed beam slots keep rare
         # wide-coverage derivations alive on long sentences.
-        by_expr: dict[ast.Expr, list[Derivation]] = {}
+        by_expr: dict[int, list[Derivation]] = {}
         for d in derivations:
-            by_expr.setdefault(d.expr, []).append(d)
+            by_expr.setdefault(id(d.expr), []).append(d)
         trimmed: list[Derivation] = []
         for variants in by_expr.values():
             best = max(variants, key=lambda d: (d.prod_score, len(d.used)))

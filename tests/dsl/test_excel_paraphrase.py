@@ -223,6 +223,35 @@ class TestParaphrase:
         assert paraphrase(left_grouped) == grouped
         assert paraphrase(right_grouped) == flat
 
+    @pytest.mark.parametrize("program, text", [
+        (ast.BinOp(ast.BinaryOp.SUB, col("totalpay"),
+                   ast.BinOp(ast.BinaryOp.ADD, col("basepay"), col("otpay"))),
+         "subtract basepay plus otpay from totalpay"),
+        (ast.BinOp(ast.BinaryOp.SUB, col("totalpay"),
+                   ast.BinOp(ast.BinaryOp.SUB, col("basepay"), col("otpay"))),
+         "subtract basepay minus otpay from totalpay"),
+        (ast.BinOp(ast.BinaryOp.MULT, num(1.1),
+                   ast.BinOp(ast.BinaryOp.ADD, col("basepay"), col("otpay"))),
+         "multiply basepay plus otpay by 1.1"),
+        (ast.BinOp(ast.BinaryOp.ADD,
+                   ast.BinOp(ast.BinaryOp.SUB, col("totalpay"), col("basepay")),
+                   col("otpay")),
+         "totalpay minus basepay plus otpay"),
+        (ast.BinOp(ast.BinaryOp.ADD,
+                   ast.BinOp(ast.BinaryOp.MULT, num(1.1), col("basepay")),
+                   col("otpay")),
+         "1.1 times basepay plus otpay"),
+        (ast.BinOp(ast.BinaryOp.ADD, col("totalpay"),
+                   ast.BinOp(ast.BinaryOp.SUB, col("basepay"), col("otpay"))),
+         "totalpay plus basepay minus otpay"),
+    ])
+    def test_grouped_right_operand(self, program, text):
+        """A sum or difference on the right of a difference or product
+        leads with a verb, so it no longer reads like the left-grouped
+        program; a sum keeps the flat reading, whose value is the same
+        either way."""
+        assert paraphrase(program) == text
+
     def test_select(self):
         p = ast.MakeActive(ast.SelectRows(ast.GetTable(), eq("title", "chef")))
         assert paraphrase(p) == "select the rows where title = chef"
@@ -248,3 +277,40 @@ class TestParaphrase:
     def test_partial_expression_paraphrases(self):
         p = ast.Reduce(ast.ReduceOp.SUM, col("totalpay"), ast.GetTable(), ast.Hole(2))
         assert "□G2" in paraphrase(p)
+
+
+@pytest.fixture(scope="module")
+def table2_payroll_translator():
+    from repro.dataset import build_sheet
+    from repro.translate import Translator
+
+    return Translator(build_sheet("payroll"))
+
+
+@pytest.mark.parametrize("program", [
+    ast.BinOp(ast.BinaryOp.SUB, col("totalpay"),
+              ast.BinOp(ast.BinaryOp.ADD, col("basepay"), col("otpay"))),
+    ast.BinOp(ast.BinaryOp.SUB, col("totalpay"),
+              ast.BinOp(ast.BinaryOp.SUB, col("basepay"), col("otpay"))),
+    ast.BinOp(ast.BinaryOp.MULT, num(1.1),
+              ast.BinOp(ast.BinaryOp.ADD, col("basepay"), col("otpay"))),
+    ast.BinOp(ast.BinaryOp.ADD,
+              ast.BinOp(ast.BinaryOp.SUB, col("totalpay"), col("basepay")),
+              col("otpay")),
+    ast.BinOp(ast.BinaryOp.ADD,
+              ast.BinOp(ast.BinaryOp.MULT, num(1.1), col("basepay")),
+              col("otpay")),
+    ast.BinOp(ast.BinaryOp.MULT,
+              ast.BinOp(ast.BinaryOp.ADD, col("basepay"), col("otpay")),
+              num(1.1)),
+])
+def test_paraphrase_translates_back(program, table2_payroll_translator):
+    """The paraphrase of each grouping, translated on the Table 2 payroll
+    sheet, ranks a program equivalent to the paraphrased one first."""
+    from repro.evalkit.canonical import equivalent
+
+    translator = table2_payroll_translator
+    top = translator.translate(paraphrase(program))[0].program
+    assert equivalent(top, program, translator.workbook), (
+        f"{paraphrase(program)!r} translated to {top}"
+    )

@@ -5,8 +5,9 @@ skips word-overlapping synthesis pairs before combining them, and builds
 ProdSc from each child's stored (sum, count).  The copies here do none of
 that: every substitution is recomputed, every pair goes through the
 combination cascade (which retires overlapping pairs itself), openness is
-read off the expression, and ProdSc re-walks the derivation tree.  They
-exist only to check production against (``test_substitution_memo.py``).
+read off the expression, and ProdSc and MixSc re-walk the derivation
+tree.  They exist only to check production against
+(``test_substitution_memo.py``).
 """
 
 from __future__ import annotations
@@ -171,36 +172,61 @@ def synthesize(
     return created
 
 
+def node_score(d: Derivation) -> float:
+    """RScore x SScore of ``d``, every child's ProdSc recomputed."""
+    if d.kind == ATOM:
+        return d.rule_score
+    if d.rule_children:
+        r = sum(
+            (d.rule_score + c.rule_score) / 2 for c in d.rule_children
+        ) / len(d.rule_children)
+    else:
+        r = d.rule_score
+    s = 1.0
+    for c in d.synth_children:
+        s *= prod_score(c)
+    return r * s
+
+
+def prod_parts(d: Derivation) -> tuple[float, int]:
+    """(sum of node scores, count) over the non-atom nodes of ``d``'s tree,
+    in a recursive walk's order."""
+    if d.kind == ATOM:
+        return (0.0, 0)
+    total, count = node_score(d), 1
+    for c in d.rule_children + d.synth_children:
+        t, n = prod_parts(c)
+        total += t
+        count += n
+    return (total, count)
+
+
 def prod_score(d: Derivation) -> float:
     """ProdSc by a full recursive walk: every node score and every child's
     (sum, count) recomputed from the tree, nothing read from storage."""
+    total, count = prod_parts(d)
+    return total / count if count else d.rule_score
 
-    def node(x: Derivation) -> float:
-        if x.kind == ATOM:
-            return x.rule_score
-        if x.rule_children:
-            r = sum(
-                (x.rule_score + c.rule_score) / 2 for c in x.rule_children
-            ) / len(x.rule_children)
-        else:
-            r = x.rule_score
-        s = 1.0
-        for c in x.synth_children:
-            s *= score(c)
-        return r * s
 
-    def parts(x: Derivation) -> tuple[float, int]:
-        if x.kind == ATOM:
-            return (0.0, 0)
-        total, count = node(x), 1
-        for c in x.rule_children + x.synth_children:
-            t, n = parts(c)
-            total += t
-            count += n
-        return (total, count)
+def mix_parts(d: Derivation) -> tuple[int, int]:
+    """(Swizzled, AllPairs) by a full recursive walk: for each ordered pair
+    of distinct children, whether their word spans overlap, plus every
+    child's own counts."""
+    children = d.rule_children + d.synth_children
+    swizzled = 0
+    pairs = len(children) * (len(children) - 1)
+    for i, a in enumerate(children):
+        child_swizzled, child_pairs = mix_parts(a)
+        swizzled += child_swizzled
+        pairs += child_pairs
+        for j, b in enumerate(children):
+            if i != j and a.used and b.used and (
+                min(a.used) <= max(b.used) and min(b.used) <= max(a.used)
+            ):
+                swizzled += 1
+    return (swizzled, pairs)
 
-    def score(x: Derivation) -> float:
-        total, count = parts(x)
-        return total / count if count else x.rule_score
 
-    return score(d)
+def mix_score(d: Derivation) -> float:
+    swizzled, pairs = mix_parts(d)
+    return 1.0 if pairs == 0 else 1.0 - swizzled / pairs

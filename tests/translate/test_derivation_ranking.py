@@ -1,6 +1,8 @@
 """Unit tests for derivation histories and the §3.4 ranking scores."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsl import ast
 from repro.sheet import CellValue
@@ -25,12 +27,44 @@ def lit(x):
     return ast.Lit(CellValue.number(x))
 
 
+# Freshly built (not yet interned) expressions: equal ones are distinct
+# objects until a derivation interns them.
+_fresh_exprs = st.recursive(
+    st.one_of(
+        st.builds(ast.ColumnRef, st.sampled_from(["hours", "othours"])),
+        st.builds(lit, st.integers(1, 2)),
+        st.builds(ast.Hole, st.integers(1, 2)),
+    ),
+    lambda inner: st.builds(
+        ast.BinOp, st.sampled_from(list(ast.BinaryOp)), inner, inner
+    ),
+    max_leaves=4,
+)
+
+
 class TestStructure:
     def test_key_is_expr_and_used(self):
         a = atom(col(), [1])
         b = atom(col(), [1])
         assert a.key() == b.key()
         assert a.key() != atom(col(), [2]).key()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_fresh_exprs, st.frozensets(st.integers(0, 3))),
+            min_size=2, max_size=6,
+        )
+    )
+    def test_keys_equal_exactly_when_expr_and_used_are_equal(self, items):
+        """Keys are ``(id(expr), used)`` of the interned expression: equal
+        exactly when the expressions are structurally equal and the word
+        sets are equal."""
+        ds = [atom(expr, used) for expr, used in items]
+        for a in ds:
+            for b in ds:
+                same = a.expr == b.expr and a.used == b.used
+                assert (a.key() == b.key()) == same
 
     def test_used_non_column(self):
         d = atom(col(), [1, 2], cols=[2])

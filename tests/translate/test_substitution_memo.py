@@ -11,7 +11,9 @@ Each property checks a production path against its unmemoised copy in
   oracle's order, on pools recorded from real DP spans, with the
   ``max_new`` cut-off reached;
 * ProdSc built from stored (sum, count) parts equals a full recursive walk
-  bit for bit.
+  bit for bit, and so do the other eager scores (node score, the stored
+  parts) and the lazily computed MixSc (Swizzled, AllPairs), whichever
+  node of a history is read first.
 """
 
 from __future__ import annotations
@@ -341,3 +343,46 @@ def test_prod_score_bit_identical_on_recorded_derivations():
             assert d.prod_score.hex() == oracle.prod_score(d).hex()
             seen += 1
     assert seen > 1000
+
+
+# -- every stored score -----------------------------------------------------------
+
+
+def _stored_scores(d):
+    """Every score a derivation stores or computes on demand, floats as hex
+    so the comparison is bit for bit."""
+    return (
+        d.node_score.hex(), d.prod_total.hex(), d.prod_count,
+        d.prod_score.hex(), d.swizzled, d.all_pairs, d.mix_score.hex(),
+    )
+
+
+def _walked_scores(d):
+    total, count = oracle.prod_parts(d)
+    swizzled, pairs = oracle.mix_parts(d)
+    return (
+        oracle.node_score(d).hex(), total.hex(), count,
+        oracle.prod_score(d).hex(), swizzled, pairs,
+        oracle.mix_score(d).hex(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.booleans())
+def test_scores_equal_recursive_walk(tree, root_first):
+    """MixSc is computed on first read: reading the root first computes the
+    whole history at once, reading the leaves first builds it up node by
+    node; both equal the walk."""
+    nodes = list(_walk(tree))
+    for d in nodes if root_first else reversed(nodes):
+        assert _stored_scores(d) == _walked_scores(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scores_equal_recursive_walk_on_recorded_derivations(data):
+    """Histories built by the DP share sub-derivations between parents."""
+    calls = _recorded_pools()
+    _, pool, _, _, _ = calls[data.draw(st.integers(0, len(calls) - 1))]
+    for d in pool:
+        assert _stored_scores(d) == _walked_scores(d)
