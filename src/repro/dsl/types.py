@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DslTypeError, UnknownColumnError, UnknownTableError
 from ..sheet.cell import current_revision
@@ -225,6 +226,8 @@ class TypeChecker:
     # -- helpers -----------------------------------------------------------
 
     def _expect(self, e: ast.Expr, kind: Kind, scope: str | None) -> DslType:
+        # ``_SLOT_KINDS`` below mirrors every call of this, and the operand
+        # checks of ``_compare``, ``_binop`` and ``_lookup``.
         t = self.type_of(e, scope)
         if t.kind is Kind.ANY or t.kind is kind:
             return t
@@ -457,6 +460,209 @@ class TypeChecker:
                 )
         self._expect(e.condition, Kind.FILTER, table)
         return DslType(Kind.QUERY, table=table)
+
+
+# -- structural kinds and hole admission ---------------------------------------
+#
+# Whether a hole can take a binding, decided before substituting (the
+# type-directed closure of paper §3.3.2).  A binding's *filler class* is
+# its syntactic class (what ``holes.consistent`` reads) crossed with its
+# kind; a hole's *admission* is the set of classes it can take, as a
+# bitmask over classes.  Both depend on node classes alone, never on a
+# workbook or a scope, so they are cached on the (interned) node.  Each is
+# a necessary condition of ``holes.substitute`` returning an expression:
+# whenever a hole does not admit a binding's class, the substitution fails
+# its restriction or ``Valid``.
+
+_KIND_BIT = {kind: 1 << k for k, kind in enumerate(Kind)}
+_N_KINDS = len(_KIND_BIT)
+
+# Kinds of the node classes whose kind does not depend on their children.
+# ``BinOp`` and ``Lookup`` read their children's (see ``kind_of``).
+_NODE_KINDS = {
+    ast.Hole: Kind.ANY,
+    ast.Lit: Kind.SCALAR,
+    ast.CellRef: Kind.SCALAR,
+    ast.ColumnRef: Kind.COLUMN,
+    ast.GetTable: Kind.ROWSET,
+    ast.GetActive: Kind.ROWSET,
+    ast.GetFormat: Kind.ROWSET,
+    ast.TrueF: Kind.FILTER,
+    ast.Compare: Kind.FILTER,
+    ast.And: Kind.FILTER,
+    ast.Or: Kind.FILTER,
+    ast.Not: Kind.FILTER,
+    ast.Reduce: Kind.SCALAR,
+    ast.Count: Kind.SCALAR,
+    ast.SelectRows: Kind.QUERY,
+    ast.SelectCells: Kind.QUERY,
+    ast.FormatSpec: Kind.FORMAT,
+    ast.MakeActive: Kind.PROGRAM,
+    ast.FormatCells: Kind.PROGRAM,
+}
+
+
+def kind_of(expr: ast.Expr) -> Kind:
+    """The kind ``TypeChecker.type_of(expr, scope)`` returns whenever it
+    succeeds, for any scope and workbook, read off node classes alone.
+
+    A ``BinOp`` is a vector if an operand is a column or a vector, else
+    ``ANY`` if an operand is, else a scalar; a ``Lookup`` is a vector when
+    its needle is a column or a vector.  Those two are cached on the node.
+    """
+    kind = _NODE_KINDS.get(type(expr))
+    if kind is not None:
+        return kind
+    kind = expr.__dict__.get("_kind")
+    if kind is not None:
+        return kind
+    if isinstance(expr, ast.BinOp):
+        kinds = (kind_of(expr.left), kind_of(expr.right))
+        if Kind.COLUMN in kinds or Kind.VECTOR in kinds:
+            kind = Kind.VECTOR
+        elif Kind.ANY in kinds:
+            kind = Kind.ANY
+        else:
+            kind = Kind.SCALAR
+    else:  # a Lookup
+        vector = kind_of(expr.needle) in (Kind.COLUMN, Kind.VECTOR)
+        kind = Kind.VECTOR if vector else Kind.SCALAR
+    object.__setattr__(expr, "_kind", kind)
+    return kind
+
+
+# Syntactic classes: what ``holes.consistent`` reads of a binding.
+_NUMERIC_LIT, _DATE_LIT, _OTHER_LIT, _CELL_REF, _COLUMN_REF, _OTHER = range(6)
+_SYNTAX = {ast.CellRef: _CELL_REF, ast.ColumnRef: _COLUMN_REF}
+_LIT_SYNTAX = {
+    ValueType.NUMBER: _NUMERIC_LIT,
+    ValueType.CURRENCY: _NUMERIC_LIT,
+    ValueType.DATE: _DATE_LIT,
+}
+
+# The syntactic classes each hole restriction accepts, mirroring
+# ``holes.consistent`` (V also takes empty literals, which never type-check).
+_RESTRICTION_SYNTAX = {
+    ast.HoleKind.GENERAL: range(6),
+    ast.HoleKind.LITERAL: (_NUMERIC_LIT, _DATE_LIT, _CELL_REF),
+    ast.HoleKind.COLUMN: (_COLUMN_REF,),
+    ast.HoleKind.VALUE: (_DATE_LIT, _OTHER_LIT),
+}
+
+
+def filler_class(expr: ast.Expr) -> int:
+    """``expr``'s filler class, as the one bit an admission mask tests:
+    its syntactic class crossed with its kind.  Cached on the node."""
+    cls = expr.__dict__.get("_class")
+    if cls is None:
+        node = type(expr)
+        if node is ast.Lit:
+            syntax = _LIT_SYNTAX.get(expr.value.type, _OTHER_LIT)
+        else:
+            syntax = _SYNTAX.get(node, _OTHER)
+        cls = _KIND_BIT[kind_of(expr)] << (syntax * _N_KINDS)
+        object.__setattr__(expr, "_class", cls)
+    return cls
+
+
+# The class of every closed filter: the only closed derivations that merge
+# under an implicit ``And``.
+FILTER_CLASS = _KIND_BIT[Kind.FILTER] << (_OTHER * _N_KINDS)
+
+
+def _kinds(*kinds: Kind) -> int:
+    """A slot's accepted kinds as a mask; a hole's ``ANY`` fits every slot."""
+    mask = _KIND_BIT[Kind.ANY]
+    for kind in kinds:
+        mask |= _KIND_BIT[kind]
+    return mask
+
+
+_ALL_KINDS = _kinds(*Kind)
+_FILTER_SLOT = _kinds(Kind.FILTER)
+_ROWSET_SLOT = _kinds(Kind.ROWSET)
+_COLUMN_SLOT = _kinds(Kind.COLUMN)
+_COMPARE_SLOT = _kinds(Kind.SCALAR, Kind.COLUMN)
+_ARITH_SLOT = _kinds(Kind.SCALAR, Kind.COLUMN, Kind.VECTOR)
+
+# The kinds each child slot accepts, per node class, in ``_child_fields``
+# order (a tuple field's mask covers each of its elements).  A lookup's
+# needle takes every kind: ``_lookup`` skips the needle check while the key
+# types as ``ANY``, and the key may be a hole.
+_SLOT_KINDS = {
+    ast.GetFormat: (_kinds(Kind.FORMAT),),
+    ast.Compare: (_COMPARE_SLOT, _COMPARE_SLOT),
+    ast.And: (_FILTER_SLOT, _FILTER_SLOT),
+    ast.Or: (_FILTER_SLOT, _FILTER_SLOT),
+    ast.Not: (_FILTER_SLOT,),
+    ast.Reduce: (_COLUMN_SLOT, _ROWSET_SLOT, _FILTER_SLOT),
+    ast.Count: (_ROWSET_SLOT, _FILTER_SLOT),
+    ast.BinOp: (_ARITH_SLOT, _ARITH_SLOT),
+    ast.Lookup: (_ALL_KINDS, _ROWSET_SLOT, _COLUMN_SLOT, _COLUMN_SLOT),
+    ast.SelectRows: (_ROWSET_SLOT, _FILTER_SLOT),
+    ast.SelectCells: (_COLUMN_SLOT, _ROWSET_SLOT, _FILTER_SLOT),
+    ast.MakeActive: (_kinds(Kind.QUERY),),
+    ast.FormatCells: (_kinds(Kind.FORMAT), _kinds(Kind.QUERY)),
+}
+
+
+class Admission(NamedTuple):
+    """What the holes of one expression admit.  ``by_hole`` is aligned
+    with ``holes.holes_of(expr)``: each entry is the mask of that hole's
+    ident, shared by every occurrence of the ident.  ``mask`` is their
+    union: whether any hole takes a class."""
+
+    mask: int
+    by_hole: tuple[int, ...]
+
+
+def admission(expr: ast.Expr) -> Admission:
+    """The classes each hole ident of ``expr`` can take.  Cached on the
+    node.
+
+    An ident admits the classes its restriction accepts crossed with the
+    kinds that *every* occurrence's slot accepts.  The restriction is the
+    last occurrence's in pre-order: ``holes.substitute`` checks only that
+    one when an ident carries two.
+    """
+    cached = expr.__dict__.get("_admission")
+    if cached is not None:
+        return cached
+    slots: list[tuple[ast.Hole, int]] = []
+    _hole_slots(expr, _ALL_KINDS, slots)
+    kinds: dict[int, int] = {}
+    restriction: dict[int, ast.HoleKind] = {}
+    for hole, slot in slots:
+        kinds[hole.ident] = kinds.get(hole.ident, _ALL_KINDS) & slot
+        restriction[hole.ident] = hole.kind
+    by_ident = {}
+    for ident, accepted in kinds.items():
+        mask = 0
+        for syntax in _RESTRICTION_SYNTAX[restriction[ident]]:
+            mask |= accepted << (syntax * _N_KINDS)
+        by_ident[ident] = mask
+    by_hole = tuple(by_ident[hole.ident] for hole, _ in slots)
+    union = 0
+    for mask in by_ident.values():
+        union |= mask
+    result = Admission(union, by_hole)
+    object.__setattr__(expr, "_admission", result)
+    return result
+
+
+def _hole_slots(
+    expr: ast.Expr, slot: int, out: list[tuple[ast.Hole, int]]
+) -> None:
+    """Every hole of ``expr`` in pre-order (as ``holes.holes_of`` lists
+    them), with the kinds its slot accepts."""
+    if isinstance(expr, ast.Hole):
+        out.append((expr, slot))
+        return
+    masks = _SLOT_KINDS.get(type(expr), ())
+    for name, mask in zip(expr._child_fields, masks):
+        value = getattr(expr, name)
+        for child in (value,) if isinstance(value, ast.Expr) else value:
+            _hole_slots(child, mask, out)
 
 
 def _unit_result(

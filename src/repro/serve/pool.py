@@ -78,6 +78,9 @@ def pick_start_method(preferred: str | None = None) -> str:
 
 _log = get_logger("serve.pool")
 
+# How long a kill, a retire or a shutdown waits for a worker to exit.
+_JOIN_SECONDS = 1.0
+
 # Process-wide fork lock, shared by every pool in the parent.  With the
 # ``fork`` start method a child inherits every file descriptor open at
 # fork time — including the *child* end of another worker's pipe if some
@@ -273,12 +276,24 @@ class WorkerPool:
         self.handles[slot].consecutive_crashes = 0
 
     def kill(self, slot: int) -> bool:
-        """SIGKILL a live worker (chaos injection). True if one was killed."""
+        """SIGKILL a live worker (chaos injection) and wait for it to exit.
+        True if one was killed.
+
+        A killed process reads ``is_alive()`` until it has exited and been
+        reaped, and ``ensure`` hands a request to a process that reads
+        alive.  So ``kill`` returns only once the process is gone (or
+        ``_JOIN_SECONDS`` have passed), and the next ``ensure`` respawns.
+        A runner thread may join the same process in ``_retire`` at the
+        same time.  That is safe: both wait for the process's sentinel,
+        one ``waitpid`` reaps it, and the other fails with ECHILD, which
+        ``multiprocessing`` reads as "not yet reaped" and returns from.
+        """
         handle = self.handles[slot]
         process = handle.process
         if process is None or not process.is_alive():
             return False
         process.kill()
+        process.join(timeout=_JOIN_SECONDS)
         return True
 
     def quarantine(self) -> int:
@@ -306,7 +321,7 @@ class WorkerPool:
         if handle.process is not None:
             if handle.process.is_alive():
                 handle.process.kill()
-            handle.process.join(timeout=1.0)
+            handle.process.join(timeout=_JOIN_SECONDS)
             handle.process = None
         if handle.conn is not None:
             try:
@@ -325,7 +340,7 @@ class WorkerPool:
                     pass
         for handle in self.handles:
             if handle.process is not None:
-                handle.process.join(timeout=1.0)
+                handle.process.join(timeout=_JOIN_SECONDS)
             self._retire(handle)
 
     # -- diagnostics -------------------------------------------------------------

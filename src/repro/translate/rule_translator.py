@@ -11,15 +11,19 @@ holes of the rule's partial expression:
 
 then substitute (with the ``Valid`` check) to produce derivations.  Holes
 not bound by any template pattern stay open for the synthesis algorithm.
+A binding option whose filler class its hole does not admit
+(:func:`repro.dsl.types.admission`) is dropped before the combinations are
+formed: every combination holding it would fail to substitute.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from ..dsl import ast
 from ..dsl.holes import holes_of, substitute
-from ..dsl.types import TypeChecker
+from ..dsl.types import TypeChecker, admission, filler_class
 from ..runtime.budget import Budget
 from ..runtime.faults import fault_point
 from ..sheet import CellValue
@@ -151,9 +155,13 @@ class RuleTranslator:
             for k, pattern in enumerate(rule.template)
             if pattern.ident is not None
         }
-        options: list[tuple[int, list[Derivation]]] = []
+        # Per bound ident: the admitted options, each with its index in the
+        # full option list, and the full list's length.
+        options: list[tuple[int, list[tuple[int, Derivation]], int]] = []
         seen_idents: set[int] = set()
-        for hole in holes_of(rule.expr):
+        for hole, admits in zip(
+            holes_of(rule.expr), admission(rule.expr).by_hole
+        ):
             if hole.ident in seen_idents:
                 continue  # shared ident: one binding fills every copy
             seen_idents.add(hole.ident)
@@ -161,21 +169,36 @@ class RuleTranslator:
             if rng is None:
                 continue  # unbound: synthesis fills it later
             choices = self._options(hole, rng, fragment, offset, tmap, memo)
-            if not choices:
+            admitted = [
+                (k, d) for k, d in enumerate(choices)
+                if admits & filler_class(d.expr)
+            ]
+            if not admitted:
                 return []
-            options.append((hole.ident, choices))
+            options.append((hole.ident, admitted, len(choices)))
         pattern_used = frozenset(
             self._pattern_used(rule, alignment, fragment, offset)
         )
 
+        # The combinations of admitted options, in the full product's order.
+        # Each counts as an attempt at its ordinal in the full product, the
+        # skipped combinations included, so ``_MAX_ATTEMPTS`` stops where
+        # it would if every combination were substituted.  The ordinal is
+        # only read when the full product is longer than the limit.
         out: list[Derivation] = []
-        idents = [ident for ident, _ in options]
-        pools = [choices for _, choices in options]
-        attempts = 0
-        for combo in itertools.product(*pools):
-            attempts += 1
-            if attempts > _MAX_ATTEMPTS or len(out) >= _MAX_COMBINATIONS:
+        idents = [ident for ident, _, _ in options]
+        sizes = [size for _, _, size in options]
+        capped = math.prod(sizes) > _MAX_ATTEMPTS
+        for picks in itertools.product(*(a for _, a, _ in options)):
+            if len(out) >= _MAX_COMBINATIONS:
                 break
+            if capped:
+                ordinal = 0
+                for (k, _), size in zip(picks, sizes):
+                    ordinal = ordinal * size + k
+                if ordinal >= _MAX_ATTEMPTS:
+                    break
+            combo = tuple(d for _, d in picks)
             bindings = dict(zip(idents, (d.expr for d in combo)))
             expr = substitute(rule.expr, bindings, self.checker)
             if expr is None:
@@ -192,7 +215,7 @@ class RuleTranslator:
                     used_cols=used_cols,
                     kind=RULE,
                     rule_score=rule.score,
-                    rule_children=tuple(combo),
+                    rule_children=combo,
                 )
             )
         return out

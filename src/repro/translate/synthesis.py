@@ -13,14 +13,20 @@ two maximal sub-spans under all well-typed combinations:
 The closure is semi-naive: a pair is only recombined at a span if at least
 one member is new at that span (pairs wholly inside a sub-span were already
 combined there and arrive via the union), which keeps the quadratic pair
-work proportional to genuinely new combinations.
+work proportional to genuinely new combinations.  It is also type-directed:
+a pair is combined only when its open side has a hole that admits the
+closed side's filler class, or when both sides are closed filters
+(:func:`repro.dsl.types.admission`), and ``CombAll`` tries only the holes
+that admit the filler.
 """
 
 from __future__ import annotations
 
 from ..dsl import ast
 from ..dsl.holes import holes_of, substitute
-from ..dsl.types import Kind, TypeChecker
+from ..dsl.types import (
+    FILTER_CLASS, Kind, TypeChecker, admission, filler_class,
+)
 from ..errors import DslTypeError
 from ..runtime.budget import Budget
 from ..runtime.faults import fault_point
@@ -38,7 +44,8 @@ def comb_all(
     Mirrors the paper's ``CombAll``: the word-disjointness side condition
     (ignoring column words) bounds the closure, and every substitution is
     validated with ``Valid`` (through :func:`substitute`, whose memo rule
-    instantiation shares).
+    instantiation shares).  A hole that does not admit the filler's class
+    is not tried: that substitution would return None.
     """
     if receiver.word_mask & filler.word_mask:
         return []
@@ -48,7 +55,12 @@ def comb_all(
         # explodes the closure for no recall benefit; the paper's examples
         # only ever substitute closed sub-expressions.  Skip.
         return out
-    for hole in holes_of(receiver.expr):
+    cls = filler_class(filler.expr)
+    for hole, admits in zip(
+        holes_of(receiver.expr), admission(receiver.expr).by_hole
+    ):
+        if not admits & cls:
+            continue
         candidate = substitute(
             receiver.expr, {hole.ident: filler.expr}, checker
         )
@@ -105,20 +117,34 @@ def and_merge(
     )
 
 
+def _may_combine(a: Derivation, b: Derivation) -> bool:
+    """Whether a word-disjoint pair can produce anything.
+
+    ``comb_all`` only produces when the receiver is open, the filler closed
+    and some hole of the receiver admits the filler's class; ``and_merge``
+    only when both are closed filters.  A pair this rejects combines to
+    nothing, so skipping it changes no state.
+    """
+    if a.is_open:
+        return not b.is_open and bool(
+            admission(a.expr).mask & filler_class(b.expr)
+        )
+    if b.is_open:
+        return bool(admission(b.expr).mask & filler_class(a.expr))
+    return filler_class(a.expr) == FILTER_CLASS == filler_class(b.expr)
+
+
 def _combine_pair(
     a: Derivation, b: Derivation, checker: TypeChecker
 ) -> list[Derivation]:
-    """All combinations of one word-disjoint pair.
+    """All combinations of one pair that :func:`_may_combine` accepts.
 
-    ``synthesize`` retires word-overlapping pairs before calling this (every
-    constituent requires disjointness, so they produce nothing).
-    ``comb_all`` only produces when the receiver is open and the filler
-    closed, and ``and_merge`` only when both are closed, so the stored
-    openness of each side selects exactly the calls that can produce.
+    ``synthesize`` retires word-overlapping pairs and the pairs
+    ``_may_combine`` rejects before calling this (they produce nothing).
     Output and ordering are identical to the unconditional cascade.
     """
     if a.is_open:
-        return [] if b.is_open else comb_all(a, b, checker)
+        return comb_all(a, b, checker)
     if b.is_open:
         return comb_all(b, a, checker)
     merged = and_merge(a, b, checker) or and_merge(b, a, checker)
@@ -171,10 +197,15 @@ def synthesize(
             break
         a_key, a_mask = a.key(), a.word_mask
         for b in right:
-            # An overlapping pair combines to nothing, and absorbing nothing
-            # changes no state: skipping it keeps the output and the
-            # ``max_new`` cut-off exactly as they were.
-            if b.word_mask & a_mask or b.key() == a_key:
+            # An overlapping pair, or one whose types cannot combine,
+            # combines to nothing, and absorbing nothing changes no state:
+            # skipping it keeps the output and the ``max_new`` cut-off
+            # exactly as they were.
+            if (
+                b.word_mask & a_mask
+                or b.key() == a_key
+                or not _may_combine(a, b)
+            ):
                 continue
             absorb(_combine_pair(a, b, checker), frontier)
             if len(created) + len(frontier) >= max_new:
@@ -193,7 +224,7 @@ def synthesize(
                 break
             d_mask = d.word_mask
             for other in everything:
-                if other.word_mask & d_mask:
+                if other.word_mask & d_mask or not _may_combine(d, other):
                     continue
                 absorb(_combine_pair(d, other, checker), new_round)
                 if len(created) + len(new_round) >= max_new:

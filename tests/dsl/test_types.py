@@ -208,6 +208,23 @@ class TestLookup:
         )
         assert not tc.valid(e)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_lookup skips the needle check while the key is a hole "
+        "(ROADMAP item 10)",
+    )
+    def test_filter_needle_invalid_while_the_key_is_a_hole(self, tc):
+        """No column key can complete this lookup: a filter is never a
+        needle.  It passes Valid today, because the needle is not checked
+        while the key types as ``ANY``."""
+        e = ast.Lookup(
+            ast.Compare(ast.RelOp.EQ, col("title"), text("chef")),
+            ast.Hole(2),
+            ast.Hole(3, ast.HoleKind.COLUMN),
+            ast.Hole(4, ast.HoleKind.COLUMN),
+        )
+        assert not tc.valid(e)
+
 
 class TestQueriesAndPrograms:
     def test_select_rows(self, tc):

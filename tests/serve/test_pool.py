@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import signal
+import threading
 import time
 
 import pytest
@@ -127,6 +129,61 @@ class TestQuarantine:
         finally:
             pool.shutdown()
         assert not pool.handles[0].alive
+
+
+class TestKill:
+    def test_killed_worker_reads_dead_at_once_and_respawns(self):
+        """``kill`` returns only once the process has exited, so the next
+        ``ensure`` respawns instead of handing a request to a dying
+        worker."""
+        pool = make_pool()
+        try:
+            first = pool.ensure(0)
+            pid = first.pid
+            assert pool.kill(0)
+            assert not pool.handles[0].alive
+            assert first.process.exitcode == -signal.SIGKILL
+            handle = pool.ensure(0)
+            assert handle.alive
+            assert handle.pid != pid
+            assert handle.restarts == 1
+        finally:
+            pool.shutdown()
+
+    def test_kill_of_a_dead_slot_is_a_noop(self):
+        pool = make_pool()
+        try:
+            assert not pool.kill(0)  # never spawned
+            pool.ensure(0)
+            assert pool.kill(0)
+            assert not pool.kill(0)  # already dead
+        finally:
+            pool.shutdown()
+
+    def test_two_threads_joining_one_killed_worker(self):
+        """A runner's ``_retire`` may join the process ``kill`` is
+        joining: both return promptly, and the slot reads dead."""
+        pool = make_pool()
+        try:
+            process = pool.ensure(0).process
+            start = threading.Barrier(2)
+
+            def join():
+                start.wait(timeout=10)
+                process.join(timeout=10)
+
+            joiner = threading.Thread(target=join, daemon=True)
+            joiner.start()
+            start.wait(timeout=10)
+            began = time.monotonic()
+            assert pool.kill(0)
+            joiner.join(timeout=10)
+            assert not joiner.is_alive()
+            assert time.monotonic() - began < 5.0
+            assert not pool.handles[0].alive
+            assert process.exitcode == -signal.SIGKILL
+        finally:
+            pool.shutdown()
 
 
 class TestForkFdHygiene:

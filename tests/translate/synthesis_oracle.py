@@ -52,12 +52,10 @@ def comb_all(
     if holes_of(filler.expr):
         return out
     for hole in holes_of(receiver.expr):
-        if not consistent(filler.expr, hole.kind):
-            continue
-        candidate = ast.intern(
-            substitute_unchecked(receiver.expr, {hole.ident: filler.expr})
-        )
-        if not checker.valid(candidate):
+        # Through ``substitute``: an ident that occurs twice is checked
+        # against its last occurrence's restriction, not this one's.
+        candidate = substitute(receiver.expr, {hole.ident: filler.expr}, checker)
+        if candidate is None:
             continue
         out.append(
             Derivation(
