@@ -155,9 +155,8 @@ def _print_cluster_stats(cluster) -> None:
     if stats.shared_cache is not None:
         sc = stats.shared_cache
         print(
-            f"#   shared cache: hits={sc['hits']} misses={sc['misses']} "
-            f"puts={sc['puts']} size={sc['size']} "
-            f"codec_errors={sc['codec_errors']}"
+            f"#   shared cache: hits={sc.hits} misses={sc.misses} "
+            f"puts={sc.puts} size={sc.size}"
         )
     if stats.hot is not None and stats.hot.hot_shards:
         print(f"#   hot shards: {stats.hot.hot_shards}")

@@ -8,25 +8,21 @@ integrated at two layers (see ``docs/CACHING.md``):
 * :class:`repro.runtime.TranslationService` memoises per degradation-
   ladder rung in process;
 * :class:`repro.serve.TranslationGateway` answers repeat requests in the
-  front end, before admission control, without touching the worker pool.
+  front end, before admission control, without touching the worker pool;
+  :class:`repro.cluster.ShardedCluster` does the same in front of its
+  routing, with the same class and the same entries.
 
 This package has no dependencies on the translation stack: keys are
-strings, payloads are opaque, and both layers bring their own
-serialisation.
+strings, payloads are opaque, and each layer decides what it stores.
 """
 
-from .codec import CODEC_VERSION, decode_entry, encode_entry, store_key
 from .keys import CacheKey, normalise_sentence, options_signature
 from .result_cache import CacheStats, ResultCache
 
 __all__ = [
-    "CODEC_VERSION",
     "CacheKey",
     "CacheStats",
     "ResultCache",
-    "decode_entry",
-    "encode_entry",
     "normalise_sentence",
     "options_signature",
-    "store_key",
 ]

@@ -13,16 +13,16 @@
   up/suspect/down state machine feeds the router's live-set; requests on
   a dying shard retry on the next rendezvous choice with exponential
   backoff and jitter (:mod:`repro.cluster.health`);
-* **a shared cache tier** — the exact per-gateway ``(sentence,
-  fingerprint, options)`` keys, serialised through
-  :mod:`repro.cache.codec`, so a hit on any shard is a hit everywhere
-  (:mod:`repro.cluster.shared_cache`);
+* **one front cache for every shard** — a :class:`~repro.cache.ResultCache`
+  under the gateway's ``(sentence, fingerprint, options)`` keys, probed
+  before routing, so a result any shard computed answers repeats
+  cluster-wide, even after that shard dies;
 * **zero-loss chaos guarantees** — SIGKILLing an entire shard under load
   (:meth:`ShardedCluster.kill_shard`) loses nothing: every in-flight
   request fails over or resolves with a coded result, exactly once
-  (``tests/cluster/test_chaos_cluster.py``), and routing is
-  byte-identical to a single gateway on the full evaluation split
-  (``tests/cluster/test_differential_cluster.py``).
+  (``tests/cluster/test_chaos_cluster.py``), and the cluster, cold or
+  answering from its cache, reproduces the committed golden digest of
+  the full evaluation split (``tests/cluster/test_differential_cluster.py``).
 
 Quickstart::
 
@@ -33,8 +33,8 @@ Quickstart::
         result = cluster.translate("sum the hours", deadline=1.0)
         print(result.top_formula, result.shard_id, cluster.stats().ok_rate)
 
-See ``docs/CLUSTER.md`` for routing and failover semantics, the codec
-format, and the operational knobs.
+See ``docs/CLUSTER.md`` for routing and failover semantics, the front
+cache, and the operational knobs.
 """
 
 from .cluster import (
@@ -49,25 +49,21 @@ from .cluster import (
 )
 from .health import DOWN, SUSPECT, UP, HealthMonitor
 from .router import HotShardReport, RendezvousRouter, detect_hot_shards
-from .shared_cache import ByteStore, InMemoryByteStore, SharedCacheTier
 
 __all__ = [
     "CLUSTER_CLOSED",
-    "ByteStore",
     "ClusterConfig",
     "ClusterResult",
     "ClusterStats",
     "DOWN",
     "HealthMonitor",
     "HotShardReport",
-    "InMemoryByteStore",
     "REROUTED",
     "RendezvousRouter",
     "SHARD_DOWN",
     "SUSPECT",
     "Shard",
     "ShardedCluster",
-    "SharedCacheTier",
     "UP",
     "detect_hot_shards",
 ]

@@ -3,10 +3,11 @@
 :class:`ShardedCluster` is the horizontal-scale front end over N
 :class:`~repro.serve.TranslationGateway` shards.  One request flows:
 
-1. **Shared cache** — a hit under the ``(sentence, fingerprint, options)``
-   key (:mod:`repro.cluster.shared_cache`) resolves immediately; no shard
-   is touched.  Because the tier is shared, a result computed by *any*
-   shard answers repeats arriving at *every* shard.
+1. **Front cache** — a hit under the ``(sentence, fingerprint, options)``
+   key in the cluster's :class:`~repro.cache.ResultCache` resolves
+   immediately; no shard is touched.  The cache sits in front of routing,
+   so a result computed by *any* shard answers repeats bound for *every*
+   shard, including after the shard that computed it has died.
 2. **Routing** — rendezvous hashing on ``Workbook.fingerprint()``
    (:mod:`repro.cluster.router`) picks the home shard among the live set
    (:mod:`repro.cluster.health`).  Same fingerprint, same shard: the
@@ -49,7 +50,13 @@ import time
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import Any, Callable, Iterable
 
-from ..cache import CacheKey, normalise_sentence, options_signature
+from ..cache import (
+    CacheKey,
+    CacheStats,
+    ResultCache,
+    normalise_sentence,
+    options_signature,
+)
 from ..obs.clock import Clock, monotonic
 from ..obs.log import fields as log_fields
 from ..obs.log import get_logger
@@ -58,11 +65,11 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import TelemetryHub, merge_states
 from ..obs.trace import NULL_TRACER
 from ..serve import GatewayConfig, GatewayResult, PendingResult, TranslationGateway
+from ..serve.gateway import cache_entry, replay_entry
 from ..sheet import Workbook
 from ..translate import TranslatorConfig
 from .health import DOWN, HealthMonitor
 from .router import HotShardReport, RendezvousRouter, detect_hot_shards
-from .shared_cache import ByteStore, SharedCacheTier
 
 __all__ = [
     "CLUSTER_CLOSED",
@@ -118,7 +125,7 @@ class ClusterConfig:
     restart_backoff_cap: float = 2.0
     worker_faults: str | None = None
     start_method: str | None = None
-    # Shared cache tier (repro.cluster.shared_cache + repro.cache.codec).
+    # The front cache every shard shares (a repro.cache.ResultCache).
     shared_cache: bool = True
     cache_capacity: int = 8192
     # Retry / failover.  ``retry_max_attempts=None`` means shards + 1:
@@ -275,7 +282,6 @@ class ShardedCluster:
         clock: Clock = monotonic,
         tracer=None,
         metrics: MetricsRegistry | None = None,
-        store: ByteStore | None = None,
         rng: random.Random | None = None,
         **overrides,
     ) -> None:
@@ -302,7 +308,7 @@ class ShardedCluster:
             restart_backoff_cap=self.config.restart_backoff_cap,
             worker_faults=self.config.worker_faults,
             start_method=self.config.start_method,
-            cache=False,  # the shared tier replaces per-shard front caches
+            cache=False,  # the cluster's front cache replaces per-shard ones
             telemetry=self.config.telemetry,
             slo_specs=self.config.slo_specs,
         )
@@ -320,8 +326,7 @@ class ShardedCluster:
         ]
         self.router = RendezvousRouter([s.shard_id for s in self.shards])
         self.cache = (
-            SharedCacheTier(
-                store=store,
+            ResultCache(
                 capacity=self.config.cache_capacity,
                 clock=clock,
                 metrics=self.metrics,
@@ -682,17 +687,13 @@ class ShardedCluster:
         self._scheduler.schedule(delay, lambda: self._dispatch(request))
 
     def _resolve_hit(self, request: _ClusterRequest, entry: dict) -> None:
-        """Resolve a shared-tier hit without touching any shard."""
+        """Resolve a front-cache hit without touching any shard."""
         now = self.clock()
         self._count("completed", "ok", "cache_hits")
+        self.cache.observe_hit(now - request.submitted_at)
         result = ClusterResult(
             ok=True,
-            tier=entry["tier"],
-            programs=list(entry["programs"]),
-            n_candidates=entry["n_candidates"],
-            top_formula=entry["top_formula"],
-            elapsed=entry["elapsed"],
-            budget_spent=entry["budget_spent"],
+            **replay_entry(entry),
             total_seconds=now - request.submitted_at,
             fingerprint=request.fingerprint,
             cached=True,
@@ -728,26 +729,14 @@ class ShardedCluster:
         if rerouted:
             buckets.append(REROUTED)
         self._count(*buckets)
-        if (
-            lifted.ok
-            and request.cache_key is not None
-            and not lifted.degraded
-            and not lifted.anytime
-            and not lifted.cached
-        ):
-            # Clean full-fidelity answer: commit to the shared tier so the
-            # next identical request — on any shard — is a hit.
-            self.cache.put(
-                request.cache_key,
-                {
-                    "tier": lifted.tier,
-                    "programs": tuple(lifted.programs),
-                    "n_candidates": lifted.n_candidates,
-                    "top_formula": lifted.top_formula,
-                    "elapsed": lifted.elapsed,
-                    "budget_spent": lifted.budget_spent,
-                },
-            )
+        entry = (
+            cache_entry(lifted) if request.cache_key is not None else None
+        )
+        if entry is not None:
+            # The next identical request, whichever shard it would route
+            # to, is a hit.
+            self.cache.put(request.cache_key, entry)
+            self.cache.observe_miss(lifted.total_seconds)
         self._close_span(request, lifted)
         self._observe(request, lifted)
         request.pending._resolve(lifted)
@@ -789,13 +778,13 @@ class ShardedCluster:
     def federated_state(self) -> dict[str, Any]:
         """One merged metric state over the whole cluster.
 
-        The fold of the cluster registry (``cluster_*``, shared-cache,
-        health, and ``scope="cluster"`` telemetry series) with every
-        shard's gateway registry (``gateway_*``, folded ``worker_*``, and
-        ``scope="gateway"`` telemetry series): counters sum per label
-        set, histogram buckets add element-wise.  Exactly what a
-        per-shard scrape would sum to — the federated-equality test in
-        tests/cluster asserts this.
+        The fold of the cluster registry (``cluster_*``, the front
+        cache's ``cache_*``, health, and ``scope="cluster"`` telemetry
+        series) with every shard's gateway registry (``gateway_*``,
+        folded ``worker_*``, and ``scope="gateway"`` telemetry series):
+        counters sum per label set, histogram buckets add element-wise.
+        Exactly what a per-shard scrape would sum to — the
+        federated-equality test in tests/cluster asserts this.
         """
         return merge_states(
             self.metrics.export_state(),
@@ -863,7 +852,7 @@ class ShardedCluster:
                 for shard in self.shards
             ],
             shared_cache=(
-                self.cache.snapshot() if self.cache is not None else None
+                self.cache.stats() if self.cache is not None else None
             ),
             hot=self.hot_shards(),
             **counters,
@@ -908,7 +897,7 @@ class ClusterStats:
     closed_rejected: int
     cancelled: int
     shards: list[ShardStats] = field(default_factory=list)
-    shared_cache: dict | None = None
+    shared_cache: CacheStats | None = None  # None when the cache is off
     hot: HotShardReport | None = None
 
     @property
@@ -928,6 +917,11 @@ class ClusterStats:
         for f in dataclass_fields(self):
             out[f.name] = getattr(self, f.name)
         out["shards"] = [shard.snapshot() for shard in self.shards]
+        out["shared_cache"] = (
+            self.shared_cache.snapshot()
+            if self.shared_cache is not None
+            else None
+        )
         out["hot"] = self.hot.snapshot() if self.hot is not None else None
         out.update(
             ok_rate=self.ok_rate,

@@ -104,17 +104,6 @@ class PbeError(ReproError):
     code = "pbe_error"
 
 
-class CacheCodecError(ReproError):
-    """A serialised cache entry failed to encode or validate on decode.
-
-    Raised by :mod:`repro.cache.codec`.  The shared cache tier treats a
-    decode failure as a miss and drops the offending entry — a corrupt
-    blob in a shared store must never take serving down with it.
-    """
-
-    code = "cache_codec_error"
-
-
 class TelemetryCodecError(ReproError):
     """A serialised telemetry delta failed to encode or validate on decode.
 

@@ -484,8 +484,7 @@ def format_cluster(report: ShardClusterReport) -> str:
         if stats.shared_cache is not None:
             lines.append(
                 f"shared cache: hits {stats.cache_hits}, "
-                f"puts {stats.shared_cache['puts']}, "
-                f"codec errors {stats.shared_cache['codec_errors']}"
+                f"puts {stats.shared_cache.puts}"
             )
     return "\n".join(lines)
 

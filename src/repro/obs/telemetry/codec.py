@@ -2,8 +2,8 @@
 
 Registry state crosses two trust boundaries: worker → gateway (deltas
 piggybacked on reply-pipe messages) and shard → cluster (whole-registry
-folds behind the federated ``/metrics`` view).  Both sides follow the
-:mod:`repro.cache.codec` discipline:
+folds behind the federated ``/metrics`` view).  Both sides follow one
+discipline:
 
 * **strict on decode** — a blob is either exactly what
   :func:`encode_state` produced (version match, known kinds, shaped

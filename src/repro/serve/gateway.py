@@ -68,6 +68,8 @@ __all__ = [
     "GatewayStats",
     "PendingResult",
     "TranslationGateway",
+    "cache_entry",
+    "replay_entry",
 ]
 
 _UNSET = object()
@@ -149,6 +151,37 @@ class GatewayResult:
     @property
     def top_program(self) -> str | None:
         return self.programs[0][0] if self.programs else None
+
+
+def cache_entry(result: GatewayResult) -> dict | None:
+    """What a front cache stores for ``result``, or ``None`` when it must
+    not commit.
+
+    Only a clean full-fidelity answer commits: ok, not degraded, not an
+    anytime partial, and computed rather than itself replayed from a
+    cache.  Such an answer is deadline-independent, so it is safe to
+    replay verbatim for the next identical request.  The gateway and the
+    cluster both store exactly this entry.
+    """
+    if not result.ok or result.degraded or result.anytime or result.cached:
+        return None
+    return {
+        "tier": result.tier,
+        "programs": tuple(result.programs),
+        "n_candidates": result.n_candidates,
+        "top_formula": result.top_formula,
+        "elapsed": result.elapsed,
+        "budget_spent": result.budget_spent,
+    }
+
+
+def replay_entry(entry: dict) -> dict:
+    """The result fields a front-cache hit replays from ``entry``.
+
+    ``programs`` is copied into a new list, so no caller can mutate the
+    stored entry through the result it was handed.
+    """
+    return {**entry, "programs": list(entry["programs"])}
 
 
 class PendingResult:
@@ -710,12 +743,7 @@ class TranslationGateway:
         self._cache.observe_hit(now - request.submitted_at)
         result = GatewayResult(
             ok=True,
-            tier=entry["tier"],
-            programs=list(entry["programs"]),
-            n_candidates=entry["n_candidates"],
-            top_formula=entry["top_formula"],
-            elapsed=entry["elapsed"],
-            budget_spent=entry["budget_spent"],
+            **replay_entry(entry),
             queue_seconds=0.0,
             total_seconds=now - request.submitted_at,
             fingerprint=request.fingerprint,
@@ -952,25 +980,11 @@ class TranslationGateway:
                 warm=reply["warm"],
                 service_cached=reply.get("cached", False),
             )
-            if (
-                request.cache_key is not None
-                and result.ok
-                and not result.degraded
-                and not result.anytime
-            ):
-                # Clean full-fidelity answer: deadline-independent, safe
-                # to replay verbatim for the next identical request.
-                self._cache.put(
-                    request.cache_key,
-                    {
-                        "tier": result.tier,
-                        "programs": tuple(result.programs),
-                        "n_candidates": result.n_candidates,
-                        "top_formula": result.top_formula,
-                        "elapsed": result.elapsed,
-                        "budget_spent": result.budget_spent,
-                    },
-                )
+            entry = (
+                cache_entry(result) if request.cache_key is not None else None
+            )
+            if entry is not None:
+                self._cache.put(request.cache_key, entry)
                 self._cache.observe_miss(duration)
             self._finish(request, result, "ok" if result.ok else "failed")
 

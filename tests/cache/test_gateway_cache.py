@@ -3,9 +3,12 @@ control, chaos probes bypass the cache, and breaker trips purge it."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.serve import GatewayConfig, TranslationGateway
+from repro.serve import GatewayConfig, GatewayResult, TranslationGateway
+from repro.serve.gateway import cache_entry, replay_entry
 
 from ..conftest import make_payroll
 
@@ -119,3 +122,25 @@ def test_degraded_results_are_not_committed():
         assert not repeat.cached
     finally:
         gw.close(drain=True)
+
+
+def test_only_clean_computed_results_make_an_entry():
+    """The one commit rule both front caches apply, and the replay."""
+    clean = GatewayResult(
+        ok=True, tier="full", programs=[("Sum(hours)", 0.9)],
+        n_candidates=3, top_formula="=SUM(D2:D13)", elapsed=0.01,
+        budget_spent=7, worker_id=0,
+    )
+    entry = cache_entry(clean)
+    assert entry == {
+        "tier": "full", "programs": (("Sum(hours)", 0.9),),
+        "n_candidates": 3, "top_formula": "=SUM(D2:D13)",
+        "elapsed": 0.01, "budget_spent": 7,
+    }
+    for flaw in ("degraded", "anytime", "cached"):
+        assert cache_entry(replace(clean, **{flaw: True})) is None
+    assert cache_entry(replace(clean, ok=False)) is None
+    replayed = replay_entry(entry)
+    assert replayed == dict(entry, programs=[("Sum(hours)", 0.9)])
+    replayed["programs"].clear()
+    assert entry["programs"] == (("Sum(hours)", 0.9),)

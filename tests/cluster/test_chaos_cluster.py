@@ -195,7 +195,7 @@ def test_shard_kill_with_shared_cache(chaos_tracer):
                     sentence, workbook, deadline=DEADLINE, wait=600.0
                 )
                 assert result.ok
-        warmed = cluster.stats().shared_cache["puts"]
+        warmed = cluster.stats().shared_cache.puts
         assert warmed > 0
         pendings = [
             cluster.submit(
@@ -237,7 +237,7 @@ def test_shard_kill_with_shared_cache(chaos_tracer):
     for result in hits:
         assert result.shard_id is None and result.attempts == 0
     assert all(r.ok and r.cached for r in post_kill)
-    assert stats.shared_cache["hits"] >= len(hits) + len(post_kill)
+    assert stats.shared_cache.hits >= len(hits) + len(post_kill)
 
 
 @pytest.mark.slow

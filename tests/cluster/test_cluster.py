@@ -80,6 +80,20 @@ def test_shared_cache_hits_across_the_cluster(cluster):
     assert hit.shard_id is None and hit.attempts == 0
     assert hit.programs == miss.programs
     assert cluster.stats().cache_hits == 1
+    # Hits and committed misses are timed, as in the gateway's cache.
+    assert cluster.metrics.histogram("cache_hit_seconds").count() == 1
+    assert cluster.metrics.histogram("cache_miss_seconds").count() == 1
+
+
+def test_cache_hits_never_alias_the_stored_entry(cluster):
+    """Mutating one hit's programs leaves the next hit unchanged."""
+    miss = cluster.translate("sum the hours", wait=WAIT)
+    first = cluster.translate("sum the hours", wait=WAIT)
+    assert first.cached and first.programs == miss.programs
+    first.programs.clear()
+    first.programs.append(("mangled", 0.0))
+    second = cluster.translate("sum the hours", wait=WAIT)
+    assert second.cached and second.programs == miss.programs
 
 
 def test_cache_hit_survives_home_shard_death(cluster):
@@ -161,9 +175,10 @@ def test_stats_and_snapshot_shape(cluster):
     assert stats.submitted == 1 and stats.ok == 1
     assert stats.live_shards == 3
     assert len(stats.shards) == 3
-    assert stats.shared_cache["puts"] == 1
+    assert stats.shared_cache.puts == 1
     snap = cluster.snapshot()
     assert snap["ok_rate"] == 1.0
+    assert snap["shared_cache"]["puts"] == 1
     assert {s["shard_id"] for s in snap["shards"]} == {0, 1, 2}
     assert snap["hot"]["total"] == 1
 

@@ -7,7 +7,10 @@ a coded JSON body, and for streams a chunked body that always ends with
 the 0-chunk terminator.  No hung sockets, no half-written NDJSON.
 
 ``REPRO_CHAOS_REQUESTS`` scales the storm (default 120, ≥100 of them
-concurrent).  ``REPRO_CHAOS_TRACE_DIR`` dumps the gateway span log as a
+concurrent).  Every kill lands while requests wait in the queue, so each
+live worker is mid-request when it dies, and the storm must hand at
+least ``MIN_CRASHED`` ``worker_crashed`` replies back through the
+socket.  ``REPRO_CHAOS_TRACE_DIR`` dumps the gateway span log as a
 CI artifact, same contract as the gateway/cluster chaos lanes.
 """
 
@@ -33,6 +36,7 @@ WORKERS = 3
 ALLOWED_STATUSES = {200, 206, 502, 503, 504}
 ALLOWED_CODES = {None, "worker_crashed", "worker_timeout", "shed_overload",
                  "circuit_open", "deadline_exhausted"}
+MIN_CRASHED = 3
 
 SENTENCES = [
     "sum the hours",
@@ -72,9 +76,26 @@ def test_worker_kills_under_http_load(make_server, chaos_tracer):
         rng = random.Random(0xC4A05)
         stop_killing = threading.Event()
 
+        def busy_workers():
+            """Live workers while requests wait in the queue: each of
+            them holds a request (a runner takes the next one as soon as
+            it finishes one), so a kill lands mid-request."""
+            stats = gateway.stats()
+            if stats.queue_depth == 0:
+                return []
+            return [w.worker_id for w in stats.workers if w.alive]
+
         def killer():
-            while not stop_killing.wait(rng.uniform(0.05, 0.25)):
-                gateway.kill_worker(rng.randrange(WORKERS))
+            while True:
+                busy = wait_until(
+                    lambda: stop_killing.is_set() or busy_workers(),
+                    timeout=120,
+                )
+                if stop_killing.is_set():
+                    return
+                gateway.kill_worker(rng.choice(busy))
+                if stop_killing.wait(rng.uniform(0.002, 0.01)):
+                    return
 
         chaos = threading.Thread(target=killer, name="chaos-killer", daemon=True)
 
@@ -114,6 +135,7 @@ def test_worker_kills_under_http_load(make_server, chaos_tracer):
         assert not exceptions, f"connections died uncoded: {exceptions[:3]}"
         assert all(o is not None for o in outcomes)
 
+        crashed = 0
         for _, stream, resp in outcomes:
             assert resp.status in ALLOWED_STATUSES, resp.status
             if stream:
@@ -124,6 +146,10 @@ def test_worker_kills_under_http_load(make_server, chaos_tracer):
             else:
                 body = resp.json()
                 assert body["result"]["error_code"] in ALLOWED_CODES
+                crashed += body["result"]["error_code"] == "worker_crashed"
+        # The kills landed mid-request and reached the client coded.
+        print(f"worker_crashed replies: {crashed} of {N_REQUESTS}")
+        assert crashed >= MIN_CRASHED, crashed
 
         # The stack recovers: workers respawn and serve again.
         wait_until(

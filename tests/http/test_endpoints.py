@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.cluster import ShardedCluster
 from repro.http import status_for
 from repro.http.server import INPUT_CODES, RETRYABLE_CODES
 
@@ -54,6 +55,25 @@ def test_stats_serves_backend_snapshot(fake_server):
     resp = http_request(server.port, "GET", "/stats")
     assert resp.status == 200
     assert resp.json()["submitted"] == len(backend.submissions) == 1
+
+
+def test_stats_serves_a_cluster_snapshot(make_server, payroll_workbook):
+    """A real cluster's ``/stats`` is plain JSON all the way down: its
+    front cache's stats arrive as an object with integer counts, not as
+    the repr string a leaked stats object would serialise to."""
+    cluster = ShardedCluster(payroll_workbook, shards=2, workers_per_shard=1)
+    try:
+        server = make_server(cluster)
+        for _ in range(2):
+            assert _translate(server).status == 200
+        resp = http_request(server.port, "GET", "/stats")
+    finally:
+        cluster.close(drain=False)
+    assert resp.status == 200
+    shared = resp.json()["shared_cache"]
+    assert isinstance(shared, dict), shared
+    assert (shared["hits"], shared["puts"]) == (1, 1)
+    assert all(type(shared[k]) is int for k in ("hits", "puts"))
 
 
 def test_traces_streams_ndjson(make_server, payroll_workbook):

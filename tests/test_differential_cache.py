@@ -1,11 +1,12 @@
 """Differential harness: memoisation must never change an answer.
 
-Runs the Table 2 test split through :class:`TranslationService` with the
-cache off, then twice with the cache on (a cold populating pass and a
-fully warm pass), and asserts the three rankings serialise to identical
-bytes — programs, scores, tiers, and error codes.  A second differential
-pushes a batch through two gateways (cache on vs off) and compares the
-wire-level replies the same way.
+Runs the Table 2 test split twice through :class:`TranslationService`
+with the cache on (a cold populating pass and a fully warm pass), and
+checks both against the committed golden digest
+(``tests/golden/table2_test.digest``, the uncached output): programs,
+scores, tiers, error codes and the top candidate's Excel.  A second
+differential pushes a batch through two gateways (cache on vs off) and
+compares the wire-level replies.
 
 ``REPRO_DIFF_LIMIT`` caps the number of descriptions per differential
 (evenly subsampled; default: the full test split, which is what the
@@ -20,9 +21,16 @@ import os
 import pytest
 
 from repro.cache import ResultCache
-from repro.dataset import SHEET_ORDER, Corpus, build_sheet
+from repro.dataset import SHEET_ORDER, build_sheet
 from repro.runtime import TranslationService
 from repro.serve import GatewayConfig, TranslationGateway
+
+from .golden.digest import (
+    first_difference,
+    golden_line,
+    golden_split,
+    serialise_service,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -31,22 +39,7 @@ _LIMIT = os.environ.get("REPRO_DIFF_LIMIT")
 
 @pytest.fixture(scope="module")
 def test_split():
-    descriptions = Corpus.default().test
-    if _LIMIT:
-        n = int(_LIMIT)
-        if 0 < n < len(descriptions):
-            step = len(descriptions) / n
-            descriptions = [descriptions[int(k * step)] for k in range(n)]
-    return descriptions
-
-
-def _serialise_service(result) -> bytes:
-    """Everything observable about a ranking, as bytes."""
-    lines = [f"tier={result.tier} code={result.error_code}"]
-    lines += [
-        f"{c.program}\t{c.score!r}" for c in result.candidates
-    ]
-    return "\n".join(lines).encode()
+    return [d for d, _ in golden_split(_LIMIT)]
 
 
 def _serialise_gateway(result) -> bytes:
@@ -58,36 +51,32 @@ def _serialise_gateway(result) -> bytes:
     return "\n".join(lines).encode()
 
 
-def test_service_cached_equals_uncached(test_split):
-    """Three passes over the full split: uncached, cache-cold, cache-warm.
-    All three must serialise byte-identically, and the warm pass must be
-    answered from the cache."""
+def test_service_cached_equals_uncached():
+    """Two passes over the full split, cache-cold and cache-warm: both
+    reproduce the golden lines of the uncached service, and the warm pass
+    is answered from the cache."""
+    split = golden_split(_LIMIT)
     workbooks = {sheet_id: build_sheet(sheet_id) for sheet_id in SHEET_ORDER}
-    plain = {
-        sheet_id: TranslationService(wb)
-        for sheet_id, wb in workbooks.items()
-    }
     cached = {
         sheet_id: TranslationService(wb, cache=ResultCache(capacity=4096))
         for sheet_id, wb in workbooks.items()
     }
-    mismatches = []
+    cold, warm = [], []
     warm_misses = 0
-    for d in test_split:
-        baseline = _serialise_service(plain[d.sheet_id].translate(d.text))
-        cold = _serialise_service(cached[d.sheet_id].translate(d.text))
-        warm_result = cached[d.sheet_id].translate(d.text)
-        warm = _serialise_service(warm_result)
-        if not (baseline == cold == warm):
-            mismatches.append((d.sheet_id, d.text))
+    for d, _ in split:
+        service, workbook = cached[d.sheet_id], workbooks[d.sheet_id]
+        cold_result = service.translate(d.text)
+        cold.append(golden_line(serialise_service(cold_result, workbook), d))
+        warm_result = service.translate(d.text)
+        warm.append(golden_line(serialise_service(warm_result, workbook), d))
         # Only clean fully-searched runs are committed; with no deadline
         # every run is, so the repeat must be a hit.
         if not warm_result.cached:
             warm_misses += 1
-    assert not mismatches, (
-        f"{len(mismatches)}/{len(test_split)} rankings changed under "
-        f"memoisation, e.g. {mismatches[:3]}"
-    )
+    golden = [line for _, line in split]
+    for name, lines in (("cold", cold), ("warm", warm)):
+        difference = first_difference(golden, lines)
+        assert difference is None, f"{name} pass: {difference}"
     assert warm_misses == 0
 
 

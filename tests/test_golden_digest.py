@@ -11,18 +11,9 @@ meant to change.
 
 from __future__ import annotations
 
-from .golden.digest import read_golden, split_lines
+from .golden.digest import first_difference, read_golden, split_lines
 
 
 def test_table2_split_matches_golden_digest():
-    golden = read_golden()
-    now = split_lines()
-    assert len(now) == len(golden), (
-        f"the split has {len(now)} descriptions, the golden file "
-        f"{len(golden)}"
-    )
-    for k, (want, got) in enumerate(zip(golden, now)):
-        assert got == want, (
-            f"description {k + 1} of {len(golden)} changed its output:\n"
-            f"  golden: {want}\n  now:    {got}"
-        )
+    difference = first_difference(read_golden(), split_lines())
+    assert difference is None, difference
