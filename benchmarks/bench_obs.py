@@ -118,13 +118,13 @@ def test_enabled_overhead_bounded(translator):
 
 # -- the telemetry plane: always on, so its bar is unconditional -----------------
 #
-# One served request pays the plane exactly three times: the worker records
-# its own view and encodes a delta blob (``_WorkerTelemetry.record``), the
-# gateway folds that blob (``TelemetryHub.fold``), and the gateway observes
-# the finished result (``TelemetryHub.observe`` -> windowed series + SLO
-# engine + tail sampler).  Summing the three measured per-call costs bounds
-# the whole per-request overhead, which docs/OBSERVABILITY.md caps at 5% of
-# a median translation.
+# One served request pays the plane twice, both in the gateway: it records
+# the worker series from the reply (``worker_requests_total`` and
+# ``worker_translate_seconds``), and it observes the finished result
+# (``TelemetryHub.observe`` -> windowed series + SLO engine + tail
+# sampler).  Summing the two measured per-call costs bounds the whole
+# per-request overhead, which docs/OBSERVABILITY.md caps at 5% of a median
+# translation.
 
 
 class _OkResult:
@@ -155,31 +155,32 @@ def _per_call_seconds(fn, n: int = 20_000) -> float:
 @pytest.fixture(scope="module")
 def telemetry_costs():
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.telemetry import DeltaTracker, TelemetryHub, encode_state
+    from repro.obs.telemetry import TelemetryHub
+    from repro.obs.telemetry.hub import REQUEST_BUCKETS
 
-    hub = TelemetryHub(metrics=MetricsRegistry(), scope="gateway")
+    registry = MetricsRegistry()
+    hub = TelemetryHub(metrics=registry, scope="gateway")
     result = _OkResult()
     observe = _per_call_seconds(
         lambda i: hub.observe(result, trace_id=f"t-{i}")
     )
 
-    # The worker side: record one reply and ship the delta since the last.
-    worker = MetricsRegistry()
-    tracker = DeltaTracker(worker)
-    requests = worker.counter("worker_requests_total")
-    seconds = worker.histogram("worker_translate_seconds")
-
-    blobs: list[bytes] = []
+    # The worker series, recorded from one reply's fields as ``_serve`` does.
+    requests = registry.counter("worker_requests_total")
+    seconds = registry.histogram(
+        "worker_translate_seconds", buckets=REQUEST_BUCKETS
+    )
+    reply = {"error_code": None, "tier": "full", "elapsed": 0.02}
 
     def record(i):
-        requests.inc(worker="0", code="ok")
-        seconds.observe(0.02, worker="0", tier="full")
-        blobs.append(encode_state(tracker.delta()))
+        worker = str(i % 2)
+        requests.inc(worker=worker, code=reply["error_code"] or "ok")
+        seconds.observe(
+            reply["elapsed"], worker=worker, tier=reply["tier"] or "none"
+        )
 
-    delta = _per_call_seconds(record, n=5_000)
-    blob = blobs[-1]
-    fold = _per_call_seconds(lambda i: hub.fold(blob), n=5_000)
-    return {"observe": observe, "delta": delta, "fold": fold}
+    worker_series = _per_call_seconds(record)
+    return {"observe": observe, "worker_series": worker_series}
 
 
 def test_hub_observe_cost(benchmark):
@@ -197,7 +198,7 @@ def test_hub_observe_cost(benchmark):
 def test_telemetry_overhead_under_five_percent(
     benchmark, translator, telemetry_costs
 ):
-    """The always-on bar: worker record+encode, gateway fold, gateway
+    """The always-on bar: the gateway's worker-series records plus its
     observe — the plane's whole per-request cost — under 5% of a median
     translation.  Appends the measured numbers to the ``BENCH_obs.json``
     trajectory CI uploads."""
@@ -216,8 +217,7 @@ def test_telemetry_overhead_under_five_percent(
     row = {
         "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "observe_us": round(telemetry_costs["observe"] * 1e6, 2),
-        "worker_delta_us": round(telemetry_costs["delta"] * 1e6, 2),
-        "fold_us": round(telemetry_costs["fold"] * 1e6, 2),
+        "worker_series_us": round(telemetry_costs["worker_series"] * 1e6, 2),
         "translate_ms": round(median * 1e3, 3),
         "overhead_pct": round(overhead * 100, 3),
         "python": sys.version.split()[0],

@@ -1,9 +1,9 @@
-"""SLO lane — Poisson load against a telemetry-on server, then ``/slo``.
+"""SLO lane — Poisson load against a server, then ``/slo``.
 
 The telemetry plane is always on, so this lane drives the open-loop
-Poisson generator from :mod:`bench_http` against a stock (telemetry-on)
-server, layers a fault-injected error storm on top under known trace
-ids, and then reads the plane back out over HTTP:
+Poisson generator from :mod:`bench_http` against a stock server,
+layers a fault-injected error storm on top under known trace ids, and
+then reads the plane back out over HTTP:
 
 * ``GET /slo`` must parse, carry every configured objective with its
   window/burn/alert ladder, and reflect the storm in the availability

@@ -7,7 +7,7 @@ Usage::
     ... | python scripts/check_prom.py -        # read stdin
 
 Exit 0 when every input lints clean, 1 with one line per violation
-otherwise.  CI runs this over the text a telemetry-on server serves at
+otherwise.  CI runs this over the text a server serves at
 ``GET /metrics`` (both the single-gateway and federated-cluster forms),
 so a drive-by change to the renderer — a broken escape, a histogram
 missing its ``+Inf`` bucket — fails the obs smoke lane rather than

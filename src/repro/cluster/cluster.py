@@ -140,11 +140,6 @@ class ClusterConfig:
     # Hot-shard detection.
     hot_factor: float = 2.0
     hot_min_requests: int = 20
-    # The telemetry plane: on in every shard gateway (worker deltas fold
-    # into shard registries) and at the cluster front end (its own
-    # ``scope="cluster"`` series).  ``federated_state()`` merges all of
-    # it into one view.  Off only for differential/overhead harnesses.
-    telemetry: bool = True
     # Override the stock objectives (repro.obs.telemetry.default_slos)
     # for the cluster scope AND every shard gateway; a tuple of SloSpec.
     slo_specs: tuple | None = None
@@ -309,7 +304,6 @@ class ShardedCluster:
             worker_faults=self.config.worker_faults,
             start_method=self.config.start_method,
             cache=False,  # the cluster's front cache replaces per-shard ones
-            telemetry=self.config.telemetry,
             slo_specs=self.config.slo_specs,
         )
         # Each shard keeps its own metrics registry: gateway_* series must
@@ -370,15 +364,11 @@ class ShardedCluster:
         # the caller saw them (``scope="cluster"`` keeps these series
         # disjoint from the shards' ``scope="gateway"`` series in the
         # federated view, so nothing double-counts within a label set).
-        self.telemetry = (
-            TelemetryHub(
-                metrics=self.metrics,
-                scope="cluster",
-                deadline=self.config.default_deadline,
-                specs=self.config.slo_specs,
-            )
-            if self.config.telemetry
-            else None
+        self.telemetry = TelemetryHub(
+            metrics=self.metrics,
+            scope="cluster",
+            deadline=self.config.default_deadline,
+            specs=self.config.slo_specs,
         )
         self._scheduler = _RetryScheduler()
         self.health.start()
@@ -526,11 +516,6 @@ class ShardedCluster:
     def _count(self, *names: str) -> None:
         for name in names:
             self._events.inc(event=name)
-
-    def _observe(self, request: _ClusterRequest, result: ClusterResult) -> None:
-        """Feed the telemetry plane on any resolution path (never raises)."""
-        if self.telemetry is not None:
-            self.telemetry.observe(result, trace_id=request.trace_id)
 
     def _retry_delay(self, attempts: int) -> float:
         """Backoff before attempt ``attempts + 1``: exponential in the
@@ -701,7 +686,7 @@ class ShardedCluster:
             attempts=0,
         )
         self._close_span(request, result)
-        self._observe(request, result)
+        self.telemetry.observe(result, trace_id=request.trace_id)
         request.pending._resolve(result)
 
     def _finalize(
@@ -738,7 +723,7 @@ class ShardedCluster:
             self.cache.put(request.cache_key, entry)
             self.cache.observe_miss(lifted.total_seconds)
         self._close_span(request, lifted)
-        self._observe(request, lifted)
+        self.telemetry.observe(lifted, trace_id=request.trace_id)
         request.pending._resolve(lifted)
 
     def _finalize_error(
@@ -757,7 +742,7 @@ class ShardedCluster:
             rerouted=request.attempts > 1,
         )
         self._close_span(request, result)
-        self._observe(request, result)
+        self.telemetry.observe(result, trace_id=request.trace_id)
         request.pending._resolve(result)
 
     def _close_span(self, request: _ClusterRequest, result: ClusterResult):
@@ -781,7 +766,7 @@ class ShardedCluster:
         The fold of the cluster registry (``cluster_*``, the front
         cache's ``cache_*``, health, and ``scope="cluster"`` telemetry
         series) with every shard's gateway registry (``gateway_*``,
-        folded ``worker_*``, and ``scope="gateway"`` telemetry series):
+        ``worker_*``, and ``scope="gateway"`` telemetry series):
         counters sum per label set, histogram buckets add element-wise.
         Exactly what a per-shard scrape would sum to — the
         federated-equality test in tests/cluster asserts this.
@@ -798,17 +783,15 @@ class ShardedCluster:
         """The federated state as Prometheus text (``GET /metrics``)."""
         return render_prometheus(self.federated_state())
 
-    def slo_report(self) -> dict[str, Any] | None:
+    def slo_report(self) -> dict[str, Any]:
         """The ``GET /slo`` document: the cluster scope's own report plus
-        each live shard's, or ``None`` with telemetry off."""
-        if self.telemetry is None:
-            return None
+        each shard's."""
         report = self.telemetry.slo_report()
         report["shards"] = [
             {
                 "shard_id": shard.shard_id,
                 "healthy": shard.healthy(),
-                **(shard.gateway.slo_report() or {}),
+                **shard.gateway.slo_report(),
             }
             for shard in self.shards
         ]
@@ -817,8 +800,6 @@ class ShardedCluster:
     def sampled_traces(self) -> list[str]:
         """Tail-sampled trace JSONL from the cluster scope and every
         shard (cluster lines first, then shards in id order)."""
-        if self.telemetry is None:
-            return []
         lines = self.telemetry.sampler.jsonl()
         for shard in self.shards:
             lines.extend(shard.gateway.sampled_traces())

@@ -104,18 +104,6 @@ class PbeError(ReproError):
     code = "pbe_error"
 
 
-class TelemetryCodecError(ReproError):
-    """A serialised telemetry delta failed to encode or validate on decode.
-
-    Raised by :mod:`repro.obs.telemetry.codec`.  The gateway treats a
-    decode failure as a dropped delta (counted, logged at debug) — a
-    corrupt metrics blob from a worker must never take serving down, and
-    must never silently skew the federated registry either.
-    """
-
-    code = "telemetry_codec_error"
-
-
 class BudgetExceededError(ReproError):
     """A cooperative translation budget (wall-clock deadline or work
     counter) ran out mid-pipeline.

@@ -43,11 +43,10 @@ served by an in-process :class:`~repro.http.stream.ServiceStreamer`
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from ..obs.clock import monotonic
@@ -171,7 +170,7 @@ class HttpServer:
     ) -> None:
         base = config or HttpConfig()
         if overrides:
-            base = dataclass_replace(base, **overrides)
+            base = replace(base, **overrides)
         self.config = base
         self.backend = backend
         self.clock = clock
@@ -224,12 +223,6 @@ class HttpServer:
         )
         self._protocol_errors = m.counter(
             "http_protocol_errors_total", "malformed/abusive requests by code"
-        )
-        # Whether backend.submit accepts trace_id (gateway and cluster
-        # do; older backends and plain test doubles may not).  Inspected
-        # once so the hot path never pays signature reflection.
-        self._backend_takes_trace_id = _accepts_trace_id(
-            getattr(backend, "submit", None)
         )
 
     # -- lifecycle ------------------------------------------------------------------
@@ -383,21 +376,15 @@ class HttpServer:
                 trace_id=trace_id,
             )
         if route == ("GET", "/slo"):
-            report = None
             slo = getattr(self.backend, "slo_report", None)
-            if slo is not None:
-                report = slo()
-            if report is None:
+            if slo is None:
                 return await self._respond(
                     writer, request, 404,
-                    _error_body(
-                        "not_found",
-                        "backend has no SLO engine (telemetry off?)",
-                    ),
+                    _error_body("not_found", "backend has no SLO engine"),
                     trace_id=trace_id,
                 )
             return await self._respond(
-                writer, request, 200, _json_bytes(report), trace_id=trace_id
+                writer, request, 200, _json_bytes(slo()), trace_id=trace_id
             )
         if route == ("GET", "/stats"):
             snapshot = getattr(self.backend, "snapshot", None)
@@ -480,10 +467,7 @@ class HttpServer:
             if sampled is None:
                 return await self._respond(
                     writer, request, 404,
-                    _error_body(
-                        "not_found",
-                        "backend has no tail sampler (telemetry off?)",
-                    ),
+                    _error_body("not_found", "backend has no tail sampler"),
                     trace_id=trace_id,
                 )
             lines = list(sampled())  # \n-terminated JSONL already
@@ -591,10 +575,10 @@ class HttpServer:
             kwargs["deadline"] = params.deadline
         if params.faults is not None:
             kwargs["faults"] = params.faults
-        if self._backend_takes_trace_id:
-            kwargs["trace_id"] = trace_id
         try:
-            pending = self.backend.submit(params.sentence, **kwargs)
+            pending = self.backend.submit(
+                params.sentence, trace_id=trace_id, **kwargs
+            )
         except Exception as exc:  # noqa: BLE001 - surface, don't crash the conn
             _log.exception("backend submit failed")
             return await self._respond(
@@ -828,37 +812,12 @@ class HttpServer:
 # -- module helpers ---------------------------------------------------------------
 
 
-def dataclass_replace(config: HttpConfig, **overrides: Any) -> HttpConfig:
-    from dataclasses import replace
-
-    return replace(config, **overrides)
-
-
 def _incoming_trace_id(request: Request) -> str | None:
     """The client's ``X-Repro-Trace-Id`` if present and well-formed."""
     value = request.headers.get(TRACE_HEADER.lower())
     if value is not None and _TRACE_ID_OK.match(value):
         return value
     return None
-
-
-def _accepts_trace_id(fn: Any) -> bool:
-    """Whether ``fn`` can be called with a ``trace_id=`` keyword."""
-    if fn is None:
-        return False
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    for param in signature.parameters.values():
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if param.name == "trace_id" and param.kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        ):
-            return True
-    return False
 
 
 def _json_bytes(payload: Any) -> bytes:

@@ -42,10 +42,10 @@ def result_payload(
 ) -> dict:
     """The deterministic slice of a result, as the HTTP body renders it.
 
-    This is the object the differential harness compares byte-for-byte
-    between the streamed final record and a direct in-process call, so it
-    must contain no timing fields (those live under ``"serving"``).
-    The shape mirrors the gateway worker's reply dict.
+    The streaming differential checks this object's ranking fields
+    against the golden digest of direct in-process calls, so it must
+    contain no timing fields (those live under ``"serving"``).  The
+    shape mirrors the gateway worker's reply dict.
     """
     programs = [
         [str(c.program), c.score] for c in result.candidates[:top_k]

@@ -24,9 +24,9 @@ through (docs/OBSERVABILITY.md):
   every timing component takes, with :class:`ManualClock` as the
   deterministic test seam.
 * **telemetry plane** (:mod:`repro.obs.telemetry`) — windowed
-  time-series (rate/quantile over the last N seconds), cross-process and
-  cross-shard metric federation over a versioned wire codec, declarative
-  SLOs with multi-window burn-rate alerts (``GET /slo``), and tail-based
+  time-series (rate/quantile over the last N seconds), cross-shard
+  metric federation (one merged ``/metrics`` view), declarative SLOs
+  with multi-window burn-rate alerts (``GET /slo``), and tail-based
   trace sampling under a hard byte cap; bundled per serving scope by
   :class:`~repro.obs.telemetry.TelemetryHub`.
 

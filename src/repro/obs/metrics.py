@@ -109,9 +109,9 @@ class _Metric:
 
         Unlike :meth:`snapshot` (whose series keys are pre-rendered
         Prometheus label strings), ``state()`` keeps labels as plain
-        mappings so merged/folded views can be rebuilt and re-rendered
+        mappings so merged views can be rebuilt and re-rendered
         (:mod:`repro.obs.telemetry.federation`).  JSON-safe by
-        construction — this is what the telemetry wire codec ships.
+        construction.
         """
         with self._lock:
             series = [
@@ -230,53 +230,6 @@ class Histogram(_Metric):
                 "trace_id": str(exemplar),
                 "value": value,
             }
-
-    def merge_series(
-        self,
-        labels: Mapping[str, Any],
-        buckets: Iterable[int],
-        sum: float,
-        count: int,
-        exemplars: Mapping[Any, Mapping[str, Any]] | None = None,
-    ) -> None:
-        """Fold a foreign series (same bounds) into this histogram.
-
-        This is the federation entry point: a worker's delta or another
-        shard's snapshot adds bucket-wise.  Bounds must match — callers
-        that cannot guarantee it validate via the telemetry codec first.
-        """
-        buckets = [int(b) for b in buckets]
-        if len(buckets) != len(self.bounds) + 1:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge {len(buckets)} "
-                f"buckets into {len(self.bounds) + 1}"
-            )
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = self._new_series()
-            self._merge_into(series, buckets, float(sum), int(count), exemplars)
-
-    def _merge_into(
-        self,
-        series: dict,
-        buckets: list[int],
-        sum: float,
-        count: int,
-        exemplars: Mapping[Any, Mapping[str, Any]] | None,
-    ) -> None:
-        for i, n in enumerate(buckets):
-            series["buckets"][i] += n
-        series["sum"] += sum
-        series["count"] += count
-        if exemplars:
-            slot = series.setdefault("exemplars", {})
-            for index, exemplar in exemplars.items():
-                slot[int(index)] = {
-                    "trace_id": str(exemplar["trace_id"]),
-                    "value": float(exemplar["value"]),
-                }
 
     def count(self, **labels: Any) -> int:
         with self._lock:

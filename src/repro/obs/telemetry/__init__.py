@@ -4,22 +4,19 @@ Four cooperating pieces layered on :mod:`repro.obs.metrics`:
 
 * :mod:`~repro.obs.telemetry.windows` — :class:`WindowedHistogram` /
   :class:`WindowedCounter`, exact rate/quantile over the last N seconds;
-* :mod:`~repro.obs.telemetry.codec` + :mod:`~repro.obs.telemetry.federation`
-  — the strict wire codec and the delta/merge/fold primitives that carry
-  worker registries to the gateway and shard registries to the cluster's
-  federated ``/metrics`` view;
+* :mod:`~repro.obs.telemetry.federation` — :func:`merge_states`, which
+  merges shard registries into the cluster's federated ``/metrics`` view;
 * :mod:`~repro.obs.telemetry.slo` — declarative :class:`SloSpec` objectives
   with error budgets and multi-window burn-rate alerts (``GET /slo``);
 * :mod:`~repro.obs.telemetry.sampler` — the :class:`TailSampler` that keeps
   every error/shed/slow trace plus an ok sample under a hard byte cap.
 
-:class:`TelemetryHub` bundles all four behind the two calls the serving
-stack actually makes (``observe`` a finished request, ``fold`` a worker
-delta).  See docs/OBSERVABILITY.md for the full topology.
+:class:`TelemetryHub` bundles the windows, the SLO engine and the
+sampler behind the one call the serving stack makes: ``observe`` a
+finished request.  See docs/OBSERVABILITY.md for the full topology.
 """
 
-from .codec import TELEMETRY_WIRE_VERSION, decode_state, encode_state
-from .federation import DeltaTracker, fold_state, merge_states
+from .federation import merge_states
 from .hub import TelemetryHub
 from .sampler import TailSampler
 from .slo import (
@@ -34,18 +31,13 @@ from .windows import WindowSnapshot, WindowedCounter, WindowedHistogram
 __all__ = [
     "BurnRule",
     "DEFAULT_BURN_RULES",
-    "DeltaTracker",
     "SloEngine",
     "SloSpec",
-    "TELEMETRY_WIRE_VERSION",
     "TailSampler",
     "TelemetryHub",
     "WindowSnapshot",
     "WindowedCounter",
     "WindowedHistogram",
-    "decode_state",
     "default_slos",
-    "encode_state",
-    "fold_state",
     "merge_states",
 ]

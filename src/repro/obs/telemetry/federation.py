@@ -1,111 +1,27 @@
-"""Cross-process and cross-shard metric federation.
+"""Cross-shard metric federation: one ``/metrics`` view over N registries.
 
-Three primitives, composed at two levels of the serving stack:
+:func:`merge_states` is the pure fold: counters and gauges sum per label
+set, histograms add bucket-wise (exact, because every series shares
+fixed bounds).  The cluster merges its own registry with every shard
+gateway's, all in one process::
 
-* :class:`DeltaTracker` — a worker-side cursor over its registry:
-  ``delta()`` returns only what changed since the previous call, so the
-  piggybacked blob on each reply-pipe message stays proportional to the
-  work done for *that* request, not the worker's lifetime.
-* :func:`merge_states` — the pure fold: counters and gauges sum per
-  label set, histograms add bucket-wise (exact, because every series
-  shares fixed bounds).  This is how the cluster presents one
-  ``/metrics`` view over N shard registries.
-* :func:`fold_state` — replay a (decoded, validated) state into a live
-  registry, so a gateway's registry accumulates its workers' counters
-  as if the observations had happened in-process.
+    gateway registry x N + cluster registry --merge--> federated view --> /metrics
 
-Topology::
-
-    worker registry --delta--> reply pipe --fold--> gateway registry
-    gateway registry x N  --merge--> cluster federated view --> /metrics
-
-Deltas cross the wire through the strict codec
-(:mod:`repro.obs.telemetry.codec`); merge/fold assume already-validated
-state and raise :class:`ValueError` on shape conflicts (mismatched
-histogram bounds, kind collisions) — callers count-and-drop.
+A gateway records its workers' series (``worker_*``) itself, from the
+fields of each reply, so no registry state crosses a process boundary.
+A shape conflict (mismatched histogram bounds, a kind collision) raises
+:class:`ValueError`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..metrics import MetricsRegistry
-
-__all__ = ["DeltaTracker", "fold_state", "merge_states"]
+__all__ = ["merge_states"]
 
 
 def _series_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(labels.items()))
-
-
-class DeltaTracker:
-    """Incremental cursor over one registry's ``export_state()``.
-
-    Counters and histograms report the *increment* since the last call
-    (nothing when unchanged); gauges always report their current level
-    (a level has no meaningful diff).  The tracker assumes a single
-    caller — in practice the worker loop, which is single-threaded.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._last: dict[str, dict[tuple, dict[str, Any]]] = {}
-
-    def delta(self) -> dict[str, Any]:
-        """State-shaped mapping of everything new since the last call."""
-        state = self.registry.export_state()
-        out: dict[str, Any] = {}
-        for name, metric in state.items():
-            previous = self._last.setdefault(name, {})
-            fresh: list[dict[str, Any]] = []
-            for series in metric["series"]:
-                key = _series_key(series["labels"])
-                if metric["kind"] == "histogram":
-                    diff = self._histogram_diff(series, previous.get(key))
-                elif metric["kind"] == "counter":
-                    diff = self._counter_diff(series, previous.get(key))
-                else:  # gauge: levels are absolute, always current
-                    diff = {"labels": series["labels"], "value": series["value"]}
-                previous[key] = series
-                if diff is not None:
-                    fresh.append(diff)
-            if fresh:
-                out[name] = {
-                    "kind": metric["kind"],
-                    "help": metric["help"],
-                    "series": fresh,
-                }
-                if "bounds" in metric:
-                    out[name]["bounds"] = metric["bounds"]
-        return out
-
-    @staticmethod
-    def _counter_diff(series, previous):
-        seen = previous["value"] if previous else 0.0
-        increment = series["value"] - seen
-        if increment <= 0:
-            return None
-        return {"labels": series["labels"], "value": increment}
-
-    @staticmethod
-    def _histogram_diff(series, previous):
-        if previous is None:
-            diff = {k: v for k, v in series.items()}
-            return diff if series["count"] else None
-        count = series["count"] - previous["count"]
-        if count <= 0:
-            return None
-        diff = {
-            "labels": series["labels"],
-            "buckets": [
-                n - m for n, m in zip(series["buckets"], previous["buckets"])
-            ],
-            "sum": series["sum"] - previous["sum"],
-            "count": count,
-        }
-        if series.get("exemplars"):
-            diff["exemplars"] = series["exemplars"]
-        return diff
 
 
 def merge_states(*states: Mapping[str, Any]) -> dict[str, Any]:
@@ -176,41 +92,3 @@ def merge_states(*states: Mapping[str, Any]) -> dict[str, Any]:
         for name, metric in merged.items()
     }
 
-
-def fold_state(registry: MetricsRegistry, state: Mapping[str, Any]) -> None:
-    """Replay a state (typically a worker delta) into a live registry.
-
-    Counter values :meth:`~repro.obs.metrics.Counter.inc`, gauges
-    :meth:`~repro.obs.metrics.Gauge.set`, histogram series merge
-    bucket-wise.  Raises :class:`ValueError` on kind/bounds conflicts
-    with already-registered metrics; callers count-and-drop.
-    """
-    for name, metric in state.items():
-        kind = metric["kind"]
-        if kind == "counter":
-            counter = registry.counter(name, metric.get("help", ""))
-            for series in metric["series"]:
-                counter.inc(series["value"], **series["labels"])
-        elif kind == "gauge":
-            gauge = registry.gauge(name, metric.get("help", ""))
-            for series in metric["series"]:
-                gauge.set(series["value"], **series["labels"])
-        else:
-            histogram = registry.histogram(
-                name, metric.get("help", ""), buckets=metric["bounds"]
-            )
-            if list(histogram.bounds) != [
-                float(b) for b in metric["bounds"]
-            ]:
-                raise ValueError(
-                    f"metric {name!r}: cannot fold histogram with "
-                    "different bucket bounds"
-                )
-            for series in metric["series"]:
-                histogram.merge_series(
-                    series["labels"],
-                    series["buckets"],
-                    series["sum"],
-                    series["count"],
-                    exemplars=series.get("exemplars"),
-                )

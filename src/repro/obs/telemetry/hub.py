@@ -1,16 +1,11 @@
 """The TelemetryHub: one always-on observation point per serving scope.
 
 The gateway, each cluster shard, and the cluster front end each own a
-hub.  A hub bundles the four telemetry-plane pieces behind two calls:
-
-* :meth:`observe` — classify one finished request into the windowed
-  request counter/latency histogram (with the trace id as the bucket
-  exemplar), the SLO engine, and the tail sampler.  **Never raises**:
-  telemetry is always on, so a telemetry bug must degrade to a dropped
-  observation, not a failed request.
-* :meth:`fold` — decode a worker's piggybacked delta blob and replay it
-  into this scope's registry; malformed blobs are counted in
-  ``telemetry_fold_errors_total`` and dropped.
+hub.  :meth:`TelemetryHub.observe` classifies one finished request into
+the windowed request counter/latency histogram (with the trace id as the
+bucket exemplar), the SLO engine, and the tail sampler.  It **never
+raises**: telemetry is always on, so a telemetry bug must degrade to a
+dropped observation, not a failed request.
 
 ``scope`` labels every series the hub writes (``scope="gateway"`` on
 shards, ``scope="cluster"`` on the front end), so the federated merge
@@ -26,8 +21,6 @@ from typing import Any, Iterable, Mapping
 
 from ..clock import Clock, monotonic
 from ..metrics import MetricsRegistry
-from .codec import decode_state
-from .federation import fold_state
 from .sampler import TailSampler
 from .slo import SloEngine, SloSpec, default_slos
 
@@ -36,7 +29,8 @@ __all__ = ["TelemetryHub"]
 log = logging.getLogger("repro.obs.telemetry")
 
 # Request latency buckets: 1 ms .. 30 s — serving-side (queue + worker),
-# wider than the translator's internal DEFAULT_BUCKETS.
+# wider than the translator's internal DEFAULT_BUCKETS.  The gateway's
+# worker_translate_seconds uses them too.
 REQUEST_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
@@ -90,10 +84,6 @@ class TelemetryHub:
             "end-to-end request seconds by outcome code",
             buckets=REQUEST_BUCKETS,
         )
-        self._fold_errors = self.metrics.counter(
-            "telemetry_fold_errors_total",
-            "worker/shard telemetry blobs dropped as undecodable",
-        )
 
     # -- write side ----------------------------------------------------------------
 
@@ -138,24 +128,7 @@ class TelemetryHub:
             value = getattr(result, name, None)
             if value is not None and value is not False:
                 record[name] = value
-        spans = getattr(result, "spans", None)
-        if spans:
-            record["spans"] = spans
         return record
-
-    def fold(self, blob: bytes) -> bool:
-        """Fold a worker's delta blob into this scope's registry.
-
-        Returns True on success; counts and drops undecodable or
-        shape-conflicting blobs.
-        """
-        try:
-            fold_state(self.metrics, decode_state(blob))
-            return True
-        except Exception as exc:
-            self._fold_errors.inc()
-            log.debug("telemetry delta dropped: %s", exc)
-            return False
 
     # -- read side -----------------------------------------------------------------
 

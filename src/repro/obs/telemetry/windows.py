@@ -155,16 +155,6 @@ class WindowedHistogram(Histogram):
         slot["sum"] += value
         slot["count"] += 1
 
-    def _merge_into(self, series, buckets, sum, count, exemplars) -> None:
-        # Federated deltas land in the slot covering "now": the fold is
-        # the moment the remote work became visible here.
-        super()._merge_into(series, buckets, sum, count, exemplars)
-        slot = self._slot(series)
-        for i, n in enumerate(buckets):
-            slot["buckets"][i] += n
-        slot["sum"] += sum
-        slot["count"] += count
-
     def _export(self, series: dict) -> dict:
         return super()._export(series)  # ring deliberately excluded
 

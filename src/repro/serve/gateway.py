@@ -29,10 +29,10 @@ queued requests with ``gateway_closed`` (in-flight requests still finish).
 
 Observability (docs/OBSERVABILITY.md): all counters live in a
 :class:`~repro.obs.metrics.MetricsRegistry` shared with the result cache
-(``gateway_*`` / ``cache_*`` metric names), timing uses an injectable
-monotonic clock, and when a :class:`~repro.obs.trace.Tracer` is attached
-every request grows one span tree — ``gateway.request`` over
-``gateway.queue`` and ``gateway.worker_call``, with the worker's own
+(``gateway_*`` / ``worker_*`` / ``cache_*`` metric names), timing uses an
+injectable monotonic clock, and when a :class:`~repro.obs.trace.Tracer`
+is attached every request grows one span tree — ``gateway.request``
+over ``gateway.queue`` and ``gateway.worker_call``, with the worker's own
 spans shipped back in the reply and stitched in via
 :meth:`~repro.obs.trace.Tracer.adopt`.  A request whose worker dies
 still yields a complete tree: the gateway synthesises a
@@ -55,6 +55,7 @@ from ..obs.log import fields as log_fields
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import TelemetryHub
+from ..obs.telemetry.hub import REQUEST_BUCKETS
 from ..obs.trace import NULL_TRACER
 from ..sheet import Workbook
 from ..translate import TranslatorConfig
@@ -107,12 +108,6 @@ class GatewayConfig:
     cache: bool = False
     cache_capacity: int = 4096
     cache_ttl: float | None = None  # seconds; None = entries never expire
-    # The telemetry plane (repro.obs.telemetry): always on by default —
-    # windowed series, SLO accounting, tail-sampled traces, and worker
-    # registry deltas folded from reply-pipe messages.  The off switch
-    # exists for the differential harness (byte-identical output proof)
-    # and the overhead benchmark, not for production configurations.
-    telemetry: bool = True
     # Override the stock objectives (repro.obs.telemetry.default_slos);
     # a tuple of SloSpec.  None = the defaults scaled to default_deadline.
     slo_specs: tuple | None = None
@@ -402,6 +397,18 @@ class TranslationGateway:
         self._queue_seconds = m.histogram(
             "gateway_queue_seconds", "submit-to-dispatch wait seconds"
         )
+        # Each worker's view of its requests, recorded from the reply's
+        # own fields; a worker that dies sends no reply and counts under
+        # gateway_events_total{event="crashed"} instead.  Serving-scale
+        # buckets (1 ms .. 30 s), as the hub's request histogram uses.
+        self._worker_requests = m.counter(
+            "worker_requests_total", "requests finished by this worker"
+        )
+        self._worker_seconds = m.histogram(
+            "worker_translate_seconds",
+            "worker-side translate seconds by ladder rung",
+            buckets=REQUEST_BUCKETS,
+        )
         self._ema_gauge = m.gauge(
             "gateway_ema_call_seconds", "EMA of worker round-trip seconds"
         )
@@ -410,17 +417,13 @@ class TranslationGateway:
         self._ema_lock = threading.Lock()
         self._ema_call_seconds = 0.0
         # The telemetry plane shares this registry, so the federated view
-        # and GET /metrics carry gateway_*, cache_*, telemetry_*, slo_*,
-        # and folded worker_* series side by side.
-        self.telemetry = (
-            TelemetryHub(
-                metrics=self.metrics,
-                scope="gateway",
-                deadline=self.config.default_deadline,
-                specs=self.config.slo_specs,
-            )
-            if self.config.telemetry
-            else None
+        # and GET /metrics carry gateway_*, worker_*, cache_*, telemetry_*
+        # and slo_* series side by side.
+        self.telemetry = TelemetryHub(
+            metrics=self.metrics,
+            scope="gateway",
+            deadline=self.config.default_deadline,
+            specs=self.config.slo_specs,
         )
         self._runners = [
             threading.Thread(
@@ -692,16 +695,12 @@ class TranslationGateway:
         """The ``snapshot()`` protocol (same shape as ``stats().snapshot()``)."""
         return self.stats().snapshot()
 
-    def slo_report(self) -> dict[str, Any] | None:
-        """The ``GET /slo`` document, or ``None`` with telemetry off."""
-        if self.telemetry is None:
-            return None
+    def slo_report(self) -> dict[str, Any]:
+        """The ``GET /slo`` document."""
         return self.telemetry.slo_report()
 
     def sampled_traces(self) -> list[str]:
         """Tail-sampled trace records as JSONL lines (oldest first)."""
-        if self.telemetry is None:
-            return []
         return self.telemetry.sampler.jsonl()
 
     # -- internals -----------------------------------------------------------------
@@ -715,11 +714,6 @@ class TranslationGateway:
     def _count(self, *names: str) -> None:
         for name in names:
             self._events.inc(event=name)
-
-    def _observe(self, request: _Request, result: GatewayResult) -> None:
-        """Feed the telemetry plane on any resolution path (never raises)."""
-        if self.telemetry is not None:
-            self.telemetry.observe(result, trace_id=request.trace_id)
 
     def _close_span(self, request: _Request, result: GatewayResult) -> None:
         """Finish the request's root span with the outcome attached."""
@@ -750,7 +744,7 @@ class TranslationGateway:
             cached=True,
         )
         self._close_span(request, result)
-        self._observe(request, result)
+        self.telemetry.observe(result, trace_id=request.trace_id)
         request.pending._resolve(result)
 
     def _cancel_request(self, request: _Request) -> bool:
@@ -787,7 +781,7 @@ class TranslationGateway:
             total_seconds=now - request.submitted_at,
         )
         self._close_span(request, result)
-        self._observe(request, result)
+        self.telemetry.observe(result, trace_id=request.trace_id)
         request.pending._resolve(result)
         return True
 
@@ -822,7 +816,7 @@ class TranslationGateway:
             total_seconds=now - request.submitted_at,
         )
         self._close_span(request, result)
-        self._observe(request, result)
+        self.telemetry.observe(result, trace_id=request.trace_id)
         request.pending._resolve(result)
 
     def _runner(self, slot: int) -> None:
@@ -910,7 +904,6 @@ class TranslationGateway:
             "config": self.config.translator_config,
             "faults": request.faults,
             "cache": self.config.cache,
-            "telemetry": self.telemetry is not None,
         }
         if self.tracer.enabled:
             # The worker opens its spans under the worker_call span; the
@@ -937,12 +930,13 @@ class TranslationGateway:
         else:
             duration = self.clock() - started
             call_span.set(warm=reply["warm"]).finish()
-            blob = reply.get("metrics")
-            if blob is not None and self.telemetry is not None:
-                # The worker's registry delta: fold it so this gateway's
-                # /metrics speaks for the whole process tree.  Undecodable
-                # blobs are counted and dropped inside the hub.
-                self.telemetry.fold(blob)
+            worker = str(slot)
+            self._worker_requests.inc(
+                worker=worker, code=reply["error_code"] or "ok"
+            )
+            self._worker_seconds.observe(
+                reply["elapsed"], worker=worker, tier=reply["tier"] or "none"
+            )
             spans = reply.get("spans")
             if spans:
                 # Worker clocks share no epoch with ours: shift the
@@ -1051,5 +1045,5 @@ class TranslationGateway:
             self._in_flight -= 1
             self._in_flight_gauge.set(self._in_flight)
         self._close_span(request, result)
-        self._observe(request, result)
+        self.telemetry.observe(result, trace_id=request.trace_id)
         request.pending._resolve(result)

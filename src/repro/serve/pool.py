@@ -247,7 +247,7 @@ class WorkerPool:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
                 target=worker_main,
-                args=(child_conn, slot, self.worker_faults),
+                args=(child_conn, self.worker_faults),
                 daemon=True,
                 name=f"repro-gateway-worker-{slot}",
             )

@@ -15,10 +15,10 @@ pickled-dict protocol over a duplex pipe:
   records in the reply (``"spans"``) for the gateway to stitch in;
 * reply — a flat dict of primitives mirroring
   :class:`~repro.runtime.service.ServiceResult` (no DSL objects cross the
-  boundary, so a reply never fails to unpickle); when the request set
-  ``"telemetry"``, the reply piggybacks ``"metrics"`` — the worker
-  registry's delta since the previous reply, encoded by the strict wire
-  codec (:mod:`repro.obs.telemetry.codec`) for the gateway to fold;
+  boundary, so a reply never fails to unpickle).  The gateway records
+  its per-worker series (``worker_requests_total``,
+  ``worker_translate_seconds``) from the reply's ``error_code``,
+  ``tier`` and ``elapsed``; the worker keeps no metrics of its own;
 * ``None`` — shutdown sentinel: the worker drains nothing and exits 0.
 
 Workbooks are cached per fingerprint (bounded LRU) so repeat fingerprints
@@ -43,8 +43,6 @@ from contextlib import nullcontext
 # Imported eagerly so a fork()ed worker never takes the import lock for
 # the translation stack mid-flight (the parent is multi-threaded).
 from ..cache import ResultCache
-from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import DeltaTracker, encode_state
 from ..obs.trace import Tracer
 from ..rules import builtin_rules  # noqa: F401  (warms the import cache)
 from ..runtime.faults import fault_point, install, installed, parse_plan
@@ -61,49 +59,6 @@ __all__ = [
 CRASH_EXIT_CODE = 23
 SERVICE_CACHE_SIZE = 8
 WORKER_CACHE_CAPACITY = 512  # per-service rung memo when the gateway caches
-
-# Worker-side translate latency buckets: 1 ms .. 30 s, serving-scale.
-_WORKER_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-    0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
-
-
-class _WorkerTelemetry:
-    """Per-process registry + delta cursor for reply-pipe piggybacking.
-
-    The worker records its own view of each request
-    (``worker_requests_total``, ``worker_translate_seconds``) and ships
-    only the increment since the previous reply, so blobs stay small and
-    the gateway's fold is idempotent per reply.  Everything here is
-    best-effort: a telemetry failure must never cost a reply.
-    """
-
-    def __init__(self, worker_id: int) -> None:
-        self.registry = MetricsRegistry()
-        self.worker_id = str(worker_id)
-        self._tracker = DeltaTracker(self.registry)
-        self._requests = self.registry.counter(
-            "worker_requests_total", "requests finished by this worker"
-        )
-        self._seconds = self.registry.histogram(
-            "worker_translate_seconds",
-            "worker-side translate seconds by ladder rung",
-            buckets=_WORKER_BUCKETS,
-        )
-
-    def record(self, reply: dict) -> bytes | None:
-        self._requests.inc(
-            worker=self.worker_id,
-            code=reply.get("error_code") or "ok",
-        )
-        self._seconds.observe(
-            float(reply.get("elapsed") or 0.0),
-            worker=self.worker_id,
-            tier=reply.get("tier") or "none",
-        )
-        delta = self._tracker.delta()
-        return encode_state(delta) if delta else None
 
 
 def _build_reply(request: dict, services: dict) -> dict:
@@ -179,7 +134,7 @@ def _build_reply(request: dict, services: dict) -> dict:
     }
 
 
-def worker_main(conn, worker_id: int, worker_faults: str | None = None) -> None:
+def worker_main(conn, worker_faults: str | None = None) -> None:
     """Process entry point: serve requests from ``conn`` until shutdown.
 
     A forked worker inherits the parent's warm intern, template, and
@@ -187,7 +142,6 @@ def worker_main(conn, worker_id: int, worker_faults: str | None = None) -> None:
     if worker_faults:
         install(parse_plan(worker_faults))
     services: dict[str, tuple] = {}
-    telemetry = _WorkerTelemetry(worker_id)
     while True:
         try:
             request = conn.recv()
@@ -221,13 +175,6 @@ def worker_main(conn, worker_id: int, worker_faults: str | None = None) -> None:
                     "warm": False,
                     "cached": False,
                 }
-        if request.get("telemetry"):
-            try:
-                blob = telemetry.record(reply)
-                if blob is not None:
-                    reply["metrics"] = blob
-            except Exception:  # noqa: BLE001 - telemetry never costs a reply
-                reply.pop("metrics", None)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):

@@ -15,30 +15,19 @@ a real multi-shard cluster with live worker processes:
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 from repro.cluster import ShardedCluster
 from repro.obs.clock import ManualClock
 from repro.obs.export import render_prometheus
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import SloSpec, fold_state, merge_states
+from repro.obs.telemetry import SloSpec, merge_states
 from repro.sheet import CellValue
 
-from ..conftest import make_payroll
-from ..serve.waiters import wait_until
+from ..conftest import load_check_prom, make_payroll
 
 WAIT = 120.0
 
-_SPEC = importlib.util.spec_from_file_location(
-    "check_prom",
-    Path(__file__).resolve().parents[2] / "scripts" / "check_prom.py",
-)
-check_prom = importlib.util.module_from_spec(_SPEC)
-sys.modules.setdefault("check_prom", check_prom)
-_SPEC.loader.exec_module(check_prom)
+check_prom = load_check_prom()
 
 
 def _other_payroll():
@@ -47,13 +36,11 @@ def _other_payroll():
     return workbook
 
 
-def _counter_value(registry_state, name, **labels):
-    """Read one counter sample out of an exported/merged state dict by
-    folding it into a fresh registry (the read path scrapers use)."""
-    registry = MetricsRegistry()
-    fold_state(registry, registry_state)
-    metric = registry._metrics.get(name)
-    return metric.value(**labels) if metric is not None else 0.0
+def _counter_value(state, name, **labels):
+    """Read one counter sample out of an exported or merged state."""
+    want = {key: str(value) for key, value in labels.items()}
+    series = state.get(name, {"series": []})["series"]
+    return sum(s["value"] for s in series if s["labels"] == want)
 
 
 def test_federated_metrics_equal_fold_of_shard_registries():
@@ -66,15 +53,6 @@ def test_federated_metrics_equal_fold_of_shard_registries():
             cluster.translate("sum the hours", _other_payroll(), wait=WAIT),
         ]
         assert all(r.ok for r in results)
-        # Worker deltas ride reply-pipe messages; wait until at least one
-        # shard has folded its workers' registries.
-        wait_until(
-            lambda: any(
-                "worker_requests_total" in shard.gateway.metrics.render()
-                for shard in cluster.shards
-            ),
-            timeout=WAIT,
-        )
 
         federated = cluster.federated_state()
         by_hand = merge_states(
@@ -105,6 +83,10 @@ def test_federated_metrics_equal_fold_of_shard_registries():
         # The cache hit never touched a shard: gateway scope saw one
         # request per distinct workbook, the cluster scope saw all three.
         assert shard_ok == 2
+        # Each shard's one worker (slot 0) replied once per computed request.
+        assert _counter_value(
+            federated, "worker_requests_total", worker="0", code="ok"
+        ) == shard_ok
 
         text = cluster.federated_render()
         assert "worker_requests_total" in text

@@ -1,6 +1,11 @@
-"""Shared fixtures: the Fig. 1 payroll workbook in miniature."""
+"""Shared fixtures: the Fig. 1 payroll workbook in miniature, and the
+Prometheus exposition linter from ``scripts/``."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +68,15 @@ def cv_num(x) -> CellValue:
 
 def cv_cur(x) -> CellValue:
     return CellValue.currency(x)
+
+
+def load_check_prom():
+    """``scripts/check_prom.py`` as a module (``scripts/`` is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "check_prom",
+        Path(__file__).resolve().parents[1] / "scripts" / "check_prom.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("check_prom", module)
+    spec.loader.exec_module(module)
+    return module

@@ -1,9 +1,11 @@
 """Streaming differential: the HTTP final record equals in-process truth.
 
 For every Table 2 test-split sentence, the final record of a streamed
-``POST /translate`` must be **byte-identical** (canonical JSON) to the
-``result`` payload of a direct in-process :class:`TranslationService`
-call on the same workbook — streaming is an observability layer, never a
+``POST /translate`` that asks for every candidate must reproduce the
+committed golden digest (``tests/golden/table2_test.digest``): programs,
+scores, tier, error code and top formula, after a JSON round trip.  The
+digest is what a direct in-process :class:`TranslationService` call
+produces, so streaming is checked to be an observability layer, never a
 different answer.  A second pass injects a tight deadline and asserts
 the anytime protocol: every intermediate chunk ranks no worse than its
 predecessor, and the terminator always arrives.
@@ -14,21 +16,27 @@ subsampled; default: the full test split, the acceptance bar).
 
 from __future__ import annotations
 
-import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.dataset import SHEET_ORDER, Corpus, build_sheet
-from repro.http import ServiceStreamer, result_payload
-from repro.runtime import TranslationService
+from repro.http import ServiceStreamer
 
+from ..golden.digest import (
+    first_difference,
+    golden_line,
+    golden_split,
+    serialise_reply,
+)
 from .conftest import FakeBackend, http_request
 
 pytestmark = pytest.mark.slow
 
 _LIMIT = os.environ.get("REPRO_DIFF_LIMIT")
-TOP_K = 5
+# Final records carry every candidate, as the golden lines do.
+ALL_CANDIDATES = 10**6
 
 
 @pytest.fixture(scope="module")
@@ -42,51 +50,38 @@ def test_split():
     return descriptions
 
 
-def _canon(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
-def _stream(port: int, sentence: str, deadline_ms: float):
+def _stream(port: int, sentence: str, deadline_ms: float, **extra):
     return http_request(
         port, "POST", "/translate",
         body={"sentence": sentence, "stream": True,
-              "deadline_ms": deadline_ms},
+              "deadline_ms": deadline_ms, **extra},
         timeout=120,
     )
 
 
-def test_streamed_final_matches_in_process(test_split, make_server):
+def test_streamed_final_matches_in_process(make_server):
+    split = golden_split(_LIMIT)
     workbooks = {sheet_id: build_sheet(sheet_id) for sheet_id in SHEET_ORDER}
-    services = {
-        sheet_id: TranslationService(wb)
-        for sheet_id, wb in workbooks.items()
-    }
     servers = {
         sheet_id: make_server(
-            FakeBackend(workbook=wb), streamer=ServiceStreamer(wb)
+            FakeBackend(workbook=wb),
+            streamer=ServiceStreamer(wb),
+            max_top_k=ALL_CANDIDATES,
         )
         for sheet_id, wb in workbooks.items()
     }
-    mismatches = []
-    unterminated = 0
-    for d in test_split:
-        resp = _stream(servers[d.sheet_id].port, d.text, 60_000)
-        if not resp.terminated:
-            unterminated += 1
-            continue
-        final = resp.ndjson()[-1]
-        expected = result_payload(
-            services[d.sheet_id].translate(d.text),
-            workbooks[d.sheet_id],
-            TOP_K,
+    now = []
+    for d, _ in split:
+        resp = _stream(
+            servers[d.sheet_id].port, d.text, 60_000, top_k=ALL_CANDIDATES
         )
-        if _canon(final["result"]) != _canon(expected):
-            mismatches.append((d.sheet_id, d.text))
-    assert unterminated == 0
-    assert not mismatches, (
-        f"{len(mismatches)}/{len(test_split)} streamed finals diverged "
-        f"from the in-process service, e.g. {mismatches[:3]}"
-    )
+        assert resp.terminated, f"unterminated stream for {d.text!r}"
+        final = resp.ndjson()[-1]["result"]
+        # every candidate was shipped, so the count is the list's length
+        assert final["n_candidates"] == len(final["programs"]), d.text
+        now.append(golden_line(serialise_reply(SimpleNamespace(**final)), d))
+    difference = first_difference([line for _, line in split], now)
+    assert difference is None, difference
 
 
 def test_streamed_updates_monotone_under_tight_deadline(test_split, make_server):

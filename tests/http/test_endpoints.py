@@ -13,7 +13,9 @@ import pytest
 
 from repro.cluster import ShardedCluster
 from repro.http import status_for
-from repro.http.server import INPUT_CODES, RETRYABLE_CODES
+from repro.http.server import INPUT_CODES, RETRYABLE_CODES, TRACE_HEADER
+from repro.obs.telemetry import default_slos
+from repro.serve import TranslationGateway
 
 from .conftest import FakeBackend, http_request, make_result
 
@@ -90,6 +92,45 @@ def test_traces_streams_ndjson(make_server, payroll_workbook):
     records = resp.ndjson()
     assert [r["name"] for r in records] == ["unit.test"]
     assert records[0]["attrs"]["request_id"] == 7
+
+
+def test_slo_and_sampled_traces_from_a_gateway(make_server, payroll_workbook):
+    """A real gateway's telemetry plane over HTTP: ``/slo`` reports the
+    stock objectives, and a failed request filed under a known trace id
+    is kept by the tail sampler."""
+    with TranslationGateway(payroll_workbook, workers=1) as gateway:
+        server = make_server(gateway)
+        resp = http_request(
+            server.port, "POST", "/translate",
+            body={"sentence": "sum the hours",
+                  "faults": "tokenize:raise:runtime"},
+            headers={TRACE_HEADER: "slo-err-1"},
+            timeout=60,
+        )
+        assert resp.json()["result"]["error_code"] == "internal_error"
+
+        slo = http_request(server.port, "GET", "/slo")
+        assert slo.status == 200
+        report = slo.json()
+        assert report["scope"] == "gateway"
+        assert [s["name"] for s in report["slos"]] == [
+            spec.name for spec in default_slos(0.5)
+        ]
+
+        traces = http_request(server.port, "GET", "/traces?sampled=1")
+        assert traces.status == 200
+        records = {r["trace_id"]: r for r in traces.ndjson()}
+        assert records["slo-err-1"]["verdict"] == "error"
+
+
+@pytest.mark.parametrize("path", ["/slo", "/traces?sampled=1"])
+def test_telemetry_endpoints_404_without_a_telemetry_plane(fake_server, path):
+    _, server = fake_server
+    resp = http_request(server.port, "GET", path)
+    assert resp.status == 404
+    body = resp.json()
+    assert body["error_code"] == "not_found"
+    assert "telemetry off" not in body["error"]
 
 
 def test_unknown_path_404(fake_server):

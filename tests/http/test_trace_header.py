@@ -13,7 +13,7 @@ import re
 
 from repro.http.server import TRACE_HEADER
 
-from .conftest import FakeBackend, http_request
+from .conftest import http_request
 from .test_streaming import scripted_server
 
 _HEADER = TRACE_HEADER.lower()
@@ -78,25 +78,6 @@ def test_trace_id_on_error_responses(fake_server):
     )
     assert resp.status == 400
     assert resp.headers[_HEADER] == "bad-req-id"
-
-
-def test_backend_without_trace_id_param_still_echoes(make_server):
-    class LegacyBackend(FakeBackend):
-        def submit(self, sentence, *, deadline=None, faults=None):
-            kwargs = {}
-            if deadline is not None:
-                kwargs["deadline"] = deadline
-            if faults is not None:
-                kwargs["faults"] = faults
-            return super().submit(sentence, **kwargs)
-
-    backend = LegacyBackend()
-    server = make_server(backend)
-    resp = _translate(server, headers={TRACE_HEADER: "legacy-1"})
-    assert resp.status == 200
-    assert resp.headers[_HEADER] == "legacy-1"
-    # The legacy submit never saw the keyword, and nothing blew up.
-    assert backend.trace_ids == [None]
 
 
 # -- other endpoints: echo-only ------------------------------------------------------

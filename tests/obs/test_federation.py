@@ -1,26 +1,11 @@
-"""Federation: delta cursors, the strict wire codec, merge and fold."""
+"""Federation: merging registry states into one view."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.errors import TelemetryCodecError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    DeltaTracker,
-    TELEMETRY_WIRE_VERSION,
-    decode_state,
-    encode_state,
-    fold_state,
-    merge_states,
-)
-
-
-@pytest.fixture
-def registry():
-    return MetricsRegistry()
+from repro.obs.telemetry import merge_states
 
 
 def _seed(registry):
@@ -30,132 +15,6 @@ def _seed(registry):
     h.observe(0.05, exemplar="t-1")
     h.observe(0.5)
     return registry
-
-
-# -- delta tracker -------------------------------------------------------------------
-
-
-def test_first_delta_ships_everything(registry):
-    tracker = DeltaTracker(_seed(registry))
-    delta = tracker.delta()
-    assert delta["requests_total"]["series"] == [
-        {"labels": {"code": "ok"}, "value": 3.0}
-    ]
-    assert delta["depth"]["series"][0]["value"] == 7.0
-    histogram = delta["seconds"]["series"][0]
-    assert histogram["count"] == 2
-    assert histogram["exemplars"][0]["trace_id"] == "t-1"
-
-
-def test_second_delta_is_only_the_increment(registry):
-    tracker = DeltaTracker(_seed(registry))
-    tracker.delta()
-    registry.counter("requests_total").inc(2, code="ok")
-    delta = tracker.delta()
-    assert delta["requests_total"]["series"][0]["value"] == 2.0
-    # Unchanged histogram series don't reappear.
-    assert "seconds" not in delta
-
-
-def test_quiet_registry_yields_only_gauge_levels(registry):
-    tracker = DeltaTracker(_seed(registry))
-    tracker.delta()
-    # Counters and histograms are silent when unchanged; gauges are
-    # levels, reported absolutely on every delta.
-    assert set(tracker.delta()) == {"depth"}
-
-
-def test_quiet_registry_without_gauges_yields_empty_delta():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(2)
-    tracker = DeltaTracker(registry)
-    tracker.delta()
-    assert tracker.delta() == {}
-
-
-def test_gauges_are_always_absolute(registry):
-    registry.gauge("depth").set(7)
-    tracker = DeltaTracker(registry)
-    tracker.delta()
-    registry.gauge("depth").set(2)
-    assert tracker.delta()["depth"]["series"][0]["value"] == 2.0
-
-
-def test_delta_fold_roundtrip_reconstructs_source(registry):
-    """fold(delta_1) ∘ fold(delta_2) == the source registry's state."""
-    tracker = DeltaTracker(_seed(registry))
-    mirror = MetricsRegistry()
-    fold_state(mirror, tracker.delta())
-    registry.counter("requests_total").inc(code="err")
-    registry.histogram("seconds", buckets=(0.1, 1.0)).observe(2.0)
-    fold_state(mirror, tracker.delta())
-    assert mirror.export_state() == registry.export_state()
-
-
-# -- wire codec ----------------------------------------------------------------------
-
-
-def test_codec_roundtrip(registry):
-    state = _seed(registry).export_state()
-    assert decode_state(encode_state(state)) == json.loads(
-        json.dumps(state)
-    )
-
-
-def test_codec_is_deterministic(registry):
-    state = _seed(registry).export_state()
-    assert encode_state(state) == encode_state(state)
-
-
-def test_decode_rejects_wrong_version(registry):
-    blob = json.dumps(
-        {"v": TELEMETRY_WIRE_VERSION + 1, "metrics": {}}
-    ).encode()
-    with pytest.raises(TelemetryCodecError):
-        decode_state(blob)
-
-
-@pytest.mark.parametrize(
-    "blob",
-    [
-        b"not json",
-        b"[]",
-        b'{"metrics": {}}',  # missing version
-        b'{"v": 1}',  # missing metrics
-        b'{"v": 1, "metrics": {"m": {"kind": "exotic", "help": "", '
-        b'"series": []}}}',
-    ],
-)
-def test_decode_rejects_malformed(blob):
-    with pytest.raises(TelemetryCodecError):
-        decode_state(blob)
-
-
-def test_decode_rejects_histogram_invariant_breach():
-    bad = {
-        "m": {
-            "kind": "histogram",
-            "help": "",
-            "bounds": [0.1, 1.0],
-            "series": [
-                {"labels": {}, "buckets": [1, 0, 0], "sum": 0.05,
-                 "count": 9}  # count != sum(buckets)
-            ],
-        }
-    }
-    blob = json.dumps({"v": 1, "metrics": bad}).encode()
-    with pytest.raises(TelemetryCodecError):
-        decode_state(blob)
-
-
-def test_encode_rejects_non_finite(registry):
-    state = {
-        "g": {"kind": "gauge", "help": "", "series": [
-            {"labels": {}, "value": float("inf")}
-        ]}
-    }
-    with pytest.raises(TelemetryCodecError):
-        encode_state(state)
 
 
 # -- merge ---------------------------------------------------------------------------
@@ -211,35 +70,3 @@ def test_merge_renders_as_prometheus():
     text = render_prometheus(merged)
     assert 'requests_total{code="ok"} 6' in text
     assert 'seconds_bucket{le="+Inf"} 4' in text
-
-
-# -- fold ----------------------------------------------------------------------------
-
-
-def test_fold_rejects_bounds_conflict(registry):
-    registry.histogram("m", buckets=(0.5,)).observe(0.1)
-    delta = {
-        "m": {
-            "kind": "histogram", "help": "", "bounds": [0.1],
-            "series": [
-                {"labels": {}, "buckets": [1, 0], "sum": 0.05, "count": 1}
-            ],
-        }
-    }
-    with pytest.raises(ValueError):
-        fold_state(registry, delta)
-
-
-def test_fold_carries_exemplars(registry):
-    delta = {
-        "m": {
-            "kind": "histogram", "help": "", "bounds": [0.1, 1.0],
-            "series": [{
-                "labels": {"code": "ok"},
-                "buckets": [1, 0, 0], "sum": 0.05, "count": 1,
-                "exemplars": {0: {"trace_id": "t-9", "value": 0.05}},
-            }],
-        }
-    }
-    fold_state(registry, delta)
-    assert 'trace_id="t-9"' in registry.render()

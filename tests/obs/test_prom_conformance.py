@@ -9,10 +9,6 @@ clean; the linter must catch the breakages the renderer prevents.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.obs.export import (
@@ -23,13 +19,9 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import merge_states
 
-_SPEC = importlib.util.spec_from_file_location(
-    "check_prom",
-    Path(__file__).resolve().parents[2] / "scripts" / "check_prom.py",
-)
-check_prom = importlib.util.module_from_spec(_SPEC)
-sys.modules.setdefault("check_prom", check_prom)
-_SPEC.loader.exec_module(check_prom)
+from ..conftest import load_check_prom
+
+check_prom = load_check_prom()
 
 
 def render_registry(registry):

@@ -1,10 +1,9 @@
 """Registry and telemetry under thread contention.
 
-The gateway observes requests from its dispatcher threads while worker
-deltas fold in from the serve loop and ``/metrics``, ``/slo`` render
-from the HTTP loop — all against one registry.  These tests hammer that
-combination from 16 threads and assert nothing is lost, torn, or
-deadlocked.
+The gateway records worker series and observes requests from its
+dispatcher threads while ``/metrics`` and ``/slo`` render from the HTTP
+loop — all against one registry.  These tests hammer that combination
+from 16 threads and assert nothing is lost, torn, or deadlocked.
 """
 
 from __future__ import annotations
@@ -13,15 +12,22 @@ import threading
 
 from repro.obs.clock import ManualClock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    DeltaTracker,
-    TelemetryHub,
-    decode_state,
-    encode_state,
-)
+from repro.obs.telemetry import TelemetryHub
 
 THREADS = 16
 PER_THREAD = 500
+
+
+class _OkResult:
+    ok = True
+    error_code = None
+    tier = "full"
+    total_seconds = 0.01
+    degraded = anytime = cached = False
+    elapsed = 0.01
+    queue_seconds = 0.0
+    worker_id = 0
+    fingerprint = "f" * 12
 
 
 def run_all(workers):
@@ -74,79 +80,55 @@ def test_windowed_histogram_under_contention():
     assert sum(window.buckets) == expected
 
 
-def test_snapshot_during_delta_fold_race():
-    """Readers rendering/exporting while writers observe and a folder
-    replays deltas: every render must parse, and the final fold total
-    must be exact."""
-    source = MetricsRegistry()
-    tracker = DeltaTracker(source)
-    target = MetricsRegistry()
-    hub = TelemetryHub(metrics=target, scope="gateway")
+def test_export_during_record_race():
+    """Readers rendering and exporting while writers record and observe:
+    every exported histogram series is whole (its count equals its
+    bucket total), and the final totals are exact."""
+    registry = MetricsRegistry()
+    hub = TelemetryHub(metrics=registry, scope="gateway")
+    requests = registry.counter("worker_requests_total")
+    seconds = registry.histogram("worker_translate_seconds", buckets=(0.1, 1.0))
     stop = threading.Event()
-    blobs: list[bytes] = []
-    lock = threading.Lock()
+    exports: list[int] = []
+    torn: list[str] = []
 
-    def producer():
+    def writer():
         for i in range(PER_THREAD):
-            source.counter("worker_requests_total").inc(worker="0", code="ok")
-            source.histogram("worker_seconds", buckets=(0.1, 1.0)).observe(
-                0.05, worker="0"
-            )
-            if i % 10 == 0:
-                with lock:
-                    blobs.append(encode_state(tracker.delta()))
-        with lock:
-            blobs.append(encode_state(tracker.delta()))
-
-    def folder():
-        seen = 0
-        while not stop.is_set() or seen < len(blobs):
-            with lock:
-                pending = blobs[seen:]
-                seen = len(blobs)
-            for blob in pending:
-                assert hub.fold(blob)
+            requests.inc(worker="0", code="ok")
+            seconds.observe(0.05 if i % 2 else 0.5, worker="0", tier="full")
+            hub.observe(_OkResult())
 
     def reader():
         while not stop.is_set():
-            target.render()
-            state = target.export_state()
-            # A torn histogram would fail the codec's invariant check.
-            decode_state(encode_state(state))
+            registry.render()
+            for name, metric in registry.export_state().items():
+                if metric["kind"] != "histogram":
+                    continue
+                for series in metric["series"]:
+                    if series["count"] != sum(series["buckets"]):
+                        torn.append(name)
             hub.slo_report()
+            exports.append(1)
 
-    fold_thread = threading.Thread(target=folder)
-    read_threads = [threading.Thread(target=reader) for _ in range(4)]
-    produce_threads = [threading.Thread(target=producer) for _ in range(4)]
-    fold_thread.start()
-    for t in read_threads + produce_threads:
+    readers = [threading.Thread(target=reader) for _ in range(4)]
+    for t in readers:
         t.start()
-    for t in produce_threads:
-        t.join(30)
+    run_all([writer] * 4)
     stop.set()
-    fold_thread.join(30)
-    for t in read_threads:
+    for t in readers:
         t.join(30)
-    assert not fold_thread.is_alive()
+        assert not t.is_alive(), "reader deadlocked"
 
-    folded = target.counter("worker_requests_total")
-    assert folded.value(worker="0", code="ok") == 4 * PER_THREAD
-    histogram = target.histogram("worker_seconds", buckets=(0.1, 1.0))
-    assert histogram.count(worker="0") == 4 * PER_THREAD
+    assert exports, "no reader exported while the writers ran"
+    assert not torn, f"torn histogram series in {sorted(set(torn))}"
+    assert requests.value(worker="0", code="ok") == 4 * PER_THREAD
+    assert seconds.count(worker="0", tier="full") == 4 * PER_THREAD
+    assert hub.metrics.counter("telemetry_requests_total").value(
+        scope="gateway", code="ok"
+    ) == 4 * PER_THREAD
 
 
 def test_hub_observe_under_contention():
-    class Result:
-        ok = True
-        error_code = None
-        tier = "full"
-        total_seconds = 0.01
-        degraded = anytime = cached = False
-        elapsed = 0.01
-        queue_seconds = 0.0
-        worker_id = 0
-        fingerprint = "f" * 12
-
     clock = ManualClock(start=0.0, tick=0.0001)
     hub = TelemetryHub(
         metrics=MetricsRegistry(clock=clock), scope="gateway"
@@ -155,7 +137,7 @@ def test_hub_observe_under_contention():
     def worker(seed):
         def run():
             for i in range(PER_THREAD):
-                hub.observe(Result(), trace_id=f"t-{seed}-{i}")
+                hub.observe(_OkResult(), trace_id=f"t-{seed}-{i}")
         return run
 
     run_all([worker(s) for s in range(THREADS)])

@@ -129,17 +129,6 @@ def test_quantile_overflow_bucket_is_inf(clock):
     assert h.quantile(0.95, 60.0) == math.inf
 
 
-def test_merge_series_lands_in_current_slot(clock):
-    """A federated fold becomes visible in window queries at fold time."""
-    h = WindowedHistogram(
-        "h", buckets=(0.1, 1.0), interval=10.0, horizon=60.0, clock=clock
-    )
-    h.merge_series({"code": "ok"}, [2, 1, 0], 0.4, 3)
-    window = h.window(30.0, code="ok")
-    assert window.count == 3
-    assert window.sum == pytest.approx(0.4)
-
-
 # -- window snapshot -----------------------------------------------------------------
 
 
